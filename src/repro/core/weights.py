@@ -29,6 +29,28 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
+import numpy as np
+
+
+def _log10_ratios(total: int, left, right) -> "tuple[np.ndarray, np.ndarray]":
+    """``math.log10(total / v)`` for every ``v`` of both endpoint arrays.
+
+    numpy's ``log10`` and :func:`math.log10` can differ in the last bit, so
+    the array schemes take the same scalar function as :meth:`weight`, once
+    per distinct value, and gather the factors per edge. Zero values get a
+    ``0.0`` placeholder; the callers zero those weights anyway.
+    """
+    values = np.concatenate(
+        (np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64))
+    )
+    distinct, inverse = np.unique(values, return_inverse=True)
+    logs = np.array(
+        [math.log10(total / value) if value else 0.0 for value in distinct.tolist()],
+        dtype=np.float64,
+    )
+    factors = logs[inverse.reshape(-1)]
+    return factors[: len(factors) // 2], factors[len(factors) // 2 :]
+
 
 class WeightingScheme(ABC):
     """Base class for edge weighting schemes."""
@@ -76,12 +98,10 @@ class WeightingScheme(ABC):
     ):
         """Vectorized :meth:`weight` over numpy arrays of edge statistics.
 
-        Used by the vectorized weighting backend; the per-scheme overrides
-        are plain numpy expressions of the same formulas, and the test
-        suite asserts element-wise agreement with the scalar path.
+        Used by every bulk weighting path; the per-scheme overrides are
+        numpy expressions of the same formulas, and the test suite asserts
+        that they are bit-identical to the scalar path.
         """
-        import numpy as np
-
         return np.array(
             [
                 self.weight(
@@ -126,8 +146,6 @@ class ARCS(WeightingScheme):
         total_blocks: int,
         total_edges: int,
     ):
-        import numpy as np
-
         return np.asarray(arcs_sum, dtype=float)
 
     def weight(
@@ -164,8 +182,6 @@ class CBS(WeightingScheme):
         total_blocks: int,
         total_edges: int,
     ):
-        import numpy as np
-
         return np.asarray(common_blocks, dtype=float)
 
     def weight(
@@ -203,21 +219,20 @@ class ECBS(WeightingScheme):
         total_blocks: int,
         total_edges: int,
     ):
-        import numpy as np
-
         common = np.asarray(common_blocks, dtype=float)
-        bi = np.asarray(blocks_i, dtype=float)
-        bj = np.asarray(blocks_j, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # The two log factors are multiplied together first: IEEE
-            # multiplication is commutative, so the weight of an edge is
-            # bit-identical no matter which endpoint computes it (the
-            # left-to-right grouping differs by one ulp between endpoints,
-            # enough to flip retention at an exact threshold).
-            weights = common * (
-                np.log10(total_blocks / bi) * np.log10(total_blocks / bj)
-            )
-        weights[(common == 0) | (bi == 0) | (bj == 0)] = 0.0
+        log_i, log_j = _log10_ratios(total_blocks, blocks_i, blocks_j)
+        # The two log factors are multiplied together first: IEEE
+        # multiplication is commutative, so the weight of an edge is
+        # bit-identical no matter which endpoint computes it (the
+        # left-to-right grouping differs by one ulp between endpoints,
+        # enough to flip retention at an exact threshold).
+        weights = common * (log_i * log_j)
+        zero = (
+            (common == 0)
+            | (np.asarray(blocks_i) == 0)
+            | (np.asarray(blocks_j) == 0)
+        )
+        weights[zero] = 0.0
         return weights
 
     def weight(
@@ -260,8 +275,6 @@ class JS(WeightingScheme):
         total_blocks: int,
         total_edges: int,
     ):
-        import numpy as np
-
         common = np.asarray(common_blocks, dtype=float)
         denominator = (
             np.asarray(blocks_i, dtype=float)
@@ -314,26 +327,24 @@ class EJS(WeightingScheme):
         total_blocks: int,
         total_edges: int,
     ):
-        import numpy as np
-
         common = np.asarray(common_blocks, dtype=float)
+        if total_edges == 0:
+            return np.zeros(common.shape, dtype=float)
         denominator = (
             np.asarray(blocks_i, dtype=float)
             + np.asarray(blocks_j, dtype=float)
             - common
         )
-        di = np.asarray(degree_i, dtype=float)
-        dj = np.asarray(degree_j, dtype=float)
+        log_i, log_j = _log10_ratios(total_edges, degree_i, degree_j)
         with np.errstate(divide="ignore", invalid="ignore"):
             # Logs multiplied together first for endpoint symmetry (see ECBS).
-            weights = (common / denominator) * (
-                np.log10(total_edges / di) * np.log10(total_edges / dj)
-            )
-        invalid = (denominator == 0) | (di == 0) | (dj == 0)
-        if total_edges == 0:
-            weights[:] = 0.0
-        else:
-            weights[invalid] = 0.0
+            weights = (common / denominator) * (log_i * log_j)
+        invalid = (
+            (denominator == 0)
+            | (np.asarray(degree_i) == 0)
+            | (np.asarray(degree_j) == 0)
+        )
+        weights[invalid] = 0.0
         return weights
 
     def weight(
