@@ -221,8 +221,10 @@ def meta_block(
 
     filtered: BlockCollection | None = None
     filtering_seconds = 0.0
-    graph_input = blocks.sorted_by_cardinality()
-    if block_filtering_ratio is not None:
+    if block_filtering_ratio is None:
+        graph_input = blocks.sorted_by_cardinality()
+    else:
+        # Block Filtering sorts its input itself (Algorithm 1).
         with Timer() as timer:
             filtered = BlockFiltering(block_filtering_ratio).process(blocks)
         filtering_seconds = timer.elapsed

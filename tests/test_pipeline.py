@@ -9,6 +9,7 @@ from repro.core.pipeline import (
     meta_block,
 )
 from repro.core.pruning import PruningAlgorithm, WeightedEdgePruning
+from repro.datamodel.blocks import BlockCollection
 from repro.evaluation import evaluate
 
 
@@ -23,6 +24,21 @@ class TestMetaBlockFacade:
         result = meta_block(small_dirty_blocks, block_filtering_ratio=None)
         assert result.filtered_blocks is None
         assert result.filtering_seconds == 0.0
+
+    @pytest.mark.parametrize("ratio", [0.8, None])
+    def test_input_sorted_once(self, small_dirty_blocks, monkeypatch, ratio):
+        """Block Filtering sorts its input itself; meta_block must not sort
+        it a second time."""
+        calls = []
+        original = BlockCollection.sorted_by_cardinality
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(BlockCollection, "sorted_by_cardinality", counting)
+        meta_block(small_dirty_blocks, block_filtering_ratio=ratio)
+        assert len(calls) == 1
 
     def test_backend_selection(self, example_blocks):
         optimized = meta_block(example_blocks, backend="optimized")
