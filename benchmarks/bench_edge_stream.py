@@ -3,7 +3,7 @@
 The batched ``prune`` path exists to remove the per-edge interpreter
 overhead from the *pruning* layer, so that is what this bench isolates: the
 weighted blocking graph is computed once per backend and cached (per-node
-``neighborhood_arrays`` / ``emitted_arrays``), then a representative pruning
+``neighborhood_arrays``, served back in chunks), then a representative pruning
 algorithm from each family (WEP edge-centric, CNP node-centric, RcWNP
 two-phase) consumes the cached stream through both the per-edge shim and the
 batched path. Recorded per configuration: pruning seconds, edges/sec and
@@ -31,7 +31,8 @@ import pytest
 from benchmarks._recorder import RECORDER
 from benchmarks.conftest import bench_scale
 from benchmarks.bench_parallel_scaling import synthetic_collection
-from repro.core.edge_weighting import OptimizedEdgeWeighting
+from repro.core.edge_stream import NeighborhoodBatch
+from repro.core.edge_weighting import EdgeWeighting, OptimizedEdgeWeighting
 from repro.core.pruning import (
     CardinalityNodePruning,
     ReciprocalWeightedNodePruning,
@@ -66,15 +67,19 @@ def peak_rss_mb() -> float:
 class CachedGraph:
     """An :class:`EdgeWeighting`-shaped view over a precomputed graph.
 
-    Caches every node's ``neighborhood_arrays`` / ``emitted_arrays`` once so
-    that the timed section measures only the pruning phase — the edge-stream
-    consumption this PR's refactor changed — not the weighting scans, which
-    are identical for both paths.
+    Caches every node's ``neighborhood_arrays`` once and serves
+    ``neighborhood_batch`` from the cache, so that the timed section
+    measures only the pruning phase — the edge-stream consumption — not the
+    weighting scans, which are identical for both paths.
     """
 
     #: Keep the pruning algorithms on the streaming path: this wrapper exists
     #: to measure edge-stream consumption, which the fused gather would skip.
     node_ordered_edge_stream = False
+
+    neighborhood_chunks = EdgeWeighting.neighborhood_chunks
+    emitters = EdgeWeighting.emitters
+    iter_edge_batches = EdgeWeighting.iter_edge_batches
 
     def __init__(self, weighting) -> None:
         weighting._prepare_scheme_inputs()
@@ -82,13 +87,11 @@ class CachedGraph:
         self.num_entities = weighting.num_entities
         self.index = weighting.index
         self.scheme = weighting.scheme
+        self.num_edges = weighting.graph_size
         self._nodes = weighting.nodes()
         self._neighborhoods = {
             entity: weighting.neighborhood_arrays(entity)
             for entity in self._nodes
-        }
-        self._emitted = {
-            entity: weighting.emitted_arrays(entity) for entity in self._nodes
         }
 
     def nodes(self):
@@ -100,8 +103,17 @@ class CachedGraph:
     def neighborhood_arrays(self, entity):
         return self._neighborhoods[entity]
 
-    def emitted_arrays(self, entity):
-        return self._emitted[entity]
+    def neighborhood_batch(self, entities):
+        pieces = [self._neighborhoods[entity] for entity in entities.tolist()]
+        offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
+        np.cumsum([neighbors.size for neighbors, _ in pieces], out=offsets[1:])
+        return NeighborhoodBatch(
+            entities,
+            offsets,
+            np.concatenate([neighbors for neighbors, _ in pieces]),
+            None,
+            np.concatenate([weights for _, weights in pieces]),
+        )
 
     def neighborhood(self, entity):
         neighbors, weights = self._neighborhoods[entity]
@@ -115,9 +127,6 @@ class CachedGraph:
         for batch in self.iter_edge_batches():
             yield from batch.iter_edges()
 
-    def iter_edge_batches(self, chunk_size=None):
-        return VectorizedEdgeWeighting.iter_edge_batches(self, chunk_size)
-
 
 def test_edge_stream_throughput(benchmark):
     blocks = synthetic_collection(
@@ -129,9 +138,7 @@ def test_edge_stream_throughput(benchmark):
         name: CachedGraph(backend(blocks, "JS"))
         for name, backend in BACKENDS.items()
     }
-    num_edges = sum(
-        weights.size for _, weights in graphs["optimized"]._emitted.values()
-    )
+    num_edges = graphs["optimized"].num_edges
     timings: dict[tuple[str, str, str], float] = {}
     matches: dict[tuple[str, str], bool] = {}
 

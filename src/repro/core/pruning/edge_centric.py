@@ -17,13 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.edge_stream import TopKEdgeBuffer
-from repro.core.edge_weighting import EdgeWeighting
+from repro.core.edge_weighting import EdgeWeighting, weight_and_prune_chunks
 from repro.core.pruning.base import (
     PruningAlgorithm,
     cardinality_edge_threshold,
     mean_edge_weight,
 )
-from repro.core.vectorized import weight_and_prune_chunks
 from repro.datamodel.blocks import ComparisonCollection
 from repro.datamodel.sinks import ComparisonSink
 from repro.utils.topk import TopKHeap

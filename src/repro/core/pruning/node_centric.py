@@ -8,12 +8,12 @@ paper's redefined algorithms remove. The outputs here faithfully preserve
 those repeats so that ``||B'||`` and PQ match the original algorithms'
 published behaviour.
 
-The primary ``prune`` path packs whole chunks of node neighbourhoods into
-:class:`~repro.core.edge_stream.NodeGroup` segment arrays and resolves the
-local criteria with a handful of big-array operations per chunk (top-k via
-one lexsort per group, local means via one segmented reduction);
-``prune_per_edge`` keeps the tuple-at-a-time loop with the same retained
-comparisons.
+The primary ``prune`` path reads whole chunks of node neighbourhoods
+(:meth:`~repro.core.edge_weighting.EdgeWeighting.neighborhood_chunks`) and
+resolves the local criteria with a handful of big-array operations per
+chunk (top-k via one lexsort per group, local means via one segmented
+reduction); ``prune_per_edge`` keeps the tuple-at-a-time loop with the same
+retained comparisons.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.edge_stream import (
-    iter_node_groups,
     neighborhood_mean,
     segment_means,
     topk_per_segment,
@@ -41,28 +40,10 @@ def _canonical(entity: int, others: "list[int]") -> "list[Comparison]":
     ]
 
 
-#: Entities per multi-node kernel call in the batched ``node_criteria``
-#: path. Purely a memory/amortisation knob — like every chunk size in the
-#: stack, batch boundaries never affect downstream results.
+#: Entities per :meth:`~repro.core.edge_weighting.EdgeWeighting.neighborhood_batch`
+#: call in :func:`node_criteria`. Purely a memory/amortisation knob — like
+#: every chunk size in the stack, batch boundaries never affect results.
 NODE_CRITERIA_BATCH = 512
-
-
-def _iter_criteria_groups(weighting, entities, k, chunk_size):
-    """Yield criteria NodeGroups, via the fused multi-node kernel when the
-    backend offers one (:meth:`VectorizedEdgeWeighting.neighborhood_batch`),
-    else through the per-node :func:`iter_node_groups` packing. Both paths
-    produce bit-identical segments."""
-    batch = getattr(weighting, "neighborhood_batch", None)
-    if batch is None:
-        yield from iter_node_groups(
-            weighting.neighborhood_arrays, entities, chunk_size
-        )
-        return
-    nodes = max(1, chunk_size) if chunk_size else NODE_CRITERIA_BATCH
-    for start in range(0, len(entities), nodes):
-        group = batch(entities[start : start + nodes]).node_group()
-        if group.entities.size:
-            yield group
 
 
 def node_criteria(
@@ -83,11 +64,17 @@ def node_criteria(
     This is the dirty-neighborhood re-pruning entry point of the
     incremental resolver: after an upsert it re-derives criteria only for
     the affected nodes, with the same selection and tie-breaking as a full
-    batch pass. Backends exposing the fused multi-node kernel
-    (``neighborhood_batch``) serve each chunk in one kernel call;
-    ``chunk_size`` is then a node count rather than an edge count.
+    batch pass. Each run of ``chunk_size`` entities (a node count,
+    :data:`NODE_CRITERIA_BATCH` by default) is served by one
+    ``neighborhood_batch`` call.
     """
-    for group in _iter_criteria_groups(weighting, entities, k, chunk_size):
+    nodes = max(1, chunk_size) if chunk_size else NODE_CRITERIA_BATCH
+    for start in range(0, len(entities), nodes):
+        group = weighting.neighborhood_batch(
+            entities[start : start + nodes]
+        ).node_group()
+        if not group.entities.size:
+            continue
         means = segment_means(group)
         selected, segments = topk_per_segment(group, k)
         picked = np.bincount(segments, minlength=group.entities.size)
@@ -124,9 +111,10 @@ class CardinalityNodePruning(PruningAlgorithm):
         self, weighting: EdgeWeighting, sink: ComparisonSink
     ) -> None:
         k = self._threshold(weighting)
-        for group in iter_node_groups(
-            weighting.neighborhood_arrays, weighting.nodes(), self.chunk_size
+        for batch in weighting.neighborhood_chunks(
+            weighting.nodes(), self.chunk_size
         ):
+            group = batch.node_group()
             selected, segments = topk_per_segment(group, k)
             entities = group.entities[segments]
             neighbors = group.neighbors[selected]
@@ -158,9 +146,10 @@ class WeightedNodePruning(PruningAlgorithm):
     def _prune_into(
         self, weighting: EdgeWeighting, sink: ComparisonSink
     ) -> None:
-        for group in iter_node_groups(
-            weighting.neighborhood_arrays, weighting.nodes(), self.chunk_size
+        for batch in weighting.neighborhood_chunks(
+            weighting.nodes(), self.chunk_size
         ):
+            group = batch.node_group()
             counts = group.counts
             keep = group.weights >= np.repeat(segment_means(group), counts)
             entities = np.repeat(group.entities, counts)[keep]

@@ -27,15 +27,13 @@ import numpy as np
 
 from repro.core.edge_stream import (
     directed_pair_keys,
-    iter_node_groups,
     keys_contain,
     neighborhood_mean,
     segment_means,
     topk_per_segment,
 )
-from repro.core.edge_weighting import EdgeWeighting
+from repro.core.edge_weighting import EdgeWeighting, weight_and_prune_chunks
 from repro.core.pruning.base import PruningAlgorithm, cardinality_node_threshold
-from repro.core.vectorized import weight_and_prune_chunks
 from repro.datamodel.blocks import ComparisonCollection
 from repro.datamodel.sinks import ComparisonSink
 from repro.utils.topk import TopKHeap
@@ -78,11 +76,10 @@ def nearest_neighbor_keys(
     """
     num_entities = weighting.num_entities
     chunks: list[np.ndarray] = []
-    for group in iter_node_groups(
-        weighting.neighborhood_arrays,
-        weighting.nodes() if entities is None else entities,
-        chunk_size,
+    for batch in weighting.neighborhood_chunks(
+        weighting.nodes() if entities is None else entities, chunk_size
     ):
+        group = batch.node_group()
         selected, segments = topk_per_segment(group, k)
         if selected.size:
             chunks.append(
@@ -121,11 +118,10 @@ def neighborhood_threshold_array(
     ``+inf`` default.
     """
     thresholds = np.full(weighting.num_entities, np.inf, dtype=np.float64)
-    for group in iter_node_groups(
-        weighting.neighborhood_arrays,
-        weighting.nodes() if entities is None else entities,
-        chunk_size,
+    for batch in weighting.neighborhood_chunks(
+        weighting.nodes() if entities is None else entities, chunk_size
     ):
+        group = batch.node_group()
         thresholds[group.entities] = segment_means(group)
     return thresholds
 
@@ -209,8 +205,8 @@ class RedefinedCardinalityNodePruning(PruningAlgorithm):
     ) -> None:
         """Single-gather variant: phase 1 and phase 2 share the chunks.
 
-        Each neighbourhood is gathered once into a
-        :class:`~repro.core.vectorized.FusedChunk`; the top-k selection runs
+        Each neighbourhood is weighted once into a
+        :class:`~repro.core.edge_stream.FusedChunk`; the top-k selection runs
         on the full segments and the phase-2 barrier (the complete key set)
         is honoured by caching the chunks' emitted slices rather than
         re-streaming the graph. Same retained pairs, same emission order.
