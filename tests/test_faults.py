@@ -258,6 +258,48 @@ class TestSupervisedRetries:
         assert list(result.comparisons.pairs) == serial_wnp
         assert result.fault_stats["degraded"] == ["in-process"]
 
+    def test_pool_breaking_during_submission_is_a_crash(
+        self, small_clean_blocks
+    ):
+        """A worker can die while later chunks are still being submitted:
+        the broken pool refuses them, and they stay pending for a retry."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BreaksOnSecondSubmit:
+            submitted = 0
+
+            def submit(self, dispatch, payload):
+                self.submitted += 1
+                if self.submitted > 1:
+                    raise BrokenProcessPool("a worker died")
+                future: Future = Future()
+                future.set_result(payload[2])
+                return future
+
+        executor = ParallelMetaBlockingExecutor(
+            OptimizedEdgeWeighting(small_clean_blocks, "JS"),
+            workers=2,
+            chunks=3,
+            backend="in-process",
+        )
+        pending, results = [0, 1, 2], {}
+        try:
+            failure = executor._submit_and_collect(
+                BreaksOnSecondSubmit(),
+                None,
+                {index: ("wnp", None, index, 0) for index in pending},
+                pending,
+                results,
+            )
+        finally:
+            executor.close()
+        assert failure is not None
+        index, error = failure
+        assert index == 1 and isinstance(error, WorkerCrashed)
+        assert results == {0: 0} and pending == [1, 2]
+        assert executor.stats["worker_crashes"] == 1
+
     def test_clean_parallel_run_reports_zero_counters(
         self, small_clean_blocks, shm_leak_check
     ):
