@@ -16,9 +16,12 @@ insert. :class:`DeltaEntityIndex` provides that:
   consume (``block_slice``/``block_list``/``cooccurring``/
   ``cooccurrence_arrays``/``placed_entities``/counts/masks), so
   ``EdgeWeighting._from_shared_index`` builds a working backend over it;
-* **dirty-set tracking**: every mutation records the touched blocks;
-  :meth:`drain_dirty` converts them into the affected node ids so callers
-  invalidate exactly the per-node weight state that went stale;
+* **block stamps**: every mutation writes the new :attr:`epoch` into
+  :attr:`block_stamps` for each block whose neighborhoods it changed, so
+  per-node state a caller computed at epoch ``t`` is stale exactly when
+  one of the node's blocks carries a stamp above ``t`` — checkable for
+  one node through :meth:`block_slice`, or for every node at once over
+  :meth:`assignment_arrays`, without walking any block's members;
 * **epoch-based compaction**: :meth:`compact` merges the deltas into a
   fresh CSR via :meth:`EntityIndex.from_csr` — bit-identical to
   ``EntityIndex.from_blocks`` on the equivalent collection — and swaps it
@@ -158,6 +161,7 @@ class DeltaEntityIndex:
         self._second = second
         self._excluded = np.zeros(num_blocks, dtype=bool)
         self._has_exclusions = False
+        self._stamps = np.zeros(num_blocks, dtype=np.int64)
         if second_side:
             if not self.is_bilateral:
                 raise ValueError("second_side given for a unilateral index")
@@ -175,8 +179,14 @@ class DeltaEntityIndex:
         # multi-entity gather; invalidated per block on append.
         self._delta_arrays1: dict[int, np.ndarray] = {}
         self._delta_arrays2: dict[int, np.ndarray] = {}
+        # The same memberships as flat (entity, block) arrays in append
+        # order; the first ``_delta_assignments`` slots are live.
+        self._delta_entity_ids = _EMPTY_I64
+        self._delta_block_ids = _EMPTY_I64
         self._delta_assignments = 0
-        self._dirty_blocks: set[int] = set()
+        # All assignments, base plus delta; compaction moves them, so it
+        # leaves this total alone.
+        self._assignments = int(counts.sum())
 
     def __repr__(self) -> str:
         return (
@@ -203,7 +213,7 @@ class DeltaEntityIndex:
     @property
     def delta_fraction(self) -> float:
         """Delta assignments as a fraction of all assignments (0 when empty)."""
-        total = int(self._counts[: self._num_entities].sum())
+        total = self._assignments
         return self._delta_assignments / total if total else 0.0
 
     def keys(self) -> list[str]:
@@ -236,49 +246,21 @@ class DeltaEntityIndex:
         self._sizes2 = _grow(self._sizes2, num_blocks)
         self._inverse = _grow(self._inverse, num_blocks)
         self._excluded = _grow(self._excluded, num_blocks)
+        self._stamps = _grow(self._stamps, num_blocks)
         self.epoch += 1
         return block_id
 
     def assign(self, entity: int, block_ids: list[int]) -> None:
         """Append ``entity`` to each block (side chosen by the entity's mask).
 
-        Marks the touched blocks dirty. When the entity already had block
-        memberships, *all* of its blocks are marked dirty: its ``|B_i|``
-        changed, so every edge incident to it — i.e. every neighborhood it
-        appears in — went stale, not just those through the new blocks.
+        A one-assignment :meth:`apply_batch`: validated before anything
+        changes, so a rejected call leaves the index untouched. Stamps the
+        touched blocks; when the entity already had block memberships,
+        *all* of its blocks are stamped: its ``|B_i|`` changed, so every
+        edge incident to it — i.e. every neighborhood it appears in — went
+        stale, not just those through the new blocks.
         """
-        if not 0 <= entity < self._num_entities:
-            raise ValueError(f"unknown entity id {entity}")
-        if not block_ids:
-            return
-        num_blocks = len(self._keys)
-        side2 = self.is_bilateral and bool(self._second[entity])
-        members = self._delta_members2 if side2 else self._delta_members1
-        sizes = self._sizes2 if side2 else self._sizes1
-        arrays = self._delta_arrays2 if side2 else self._delta_arrays1
-        existing = self._delta_blocks_of.setdefault(entity, set())
-        had_blocks = bool(self._counts[entity])
-        for block_id in block_ids:
-            if not 0 <= block_id < num_blocks:
-                raise ValueError(f"unknown block id {block_id}")
-            if block_id in existing or self._in_base_block(entity, block_id):
-                raise ValueError(
-                    f"entity {entity} is already a member of block {block_id}"
-                )
-            existing.add(block_id)
-            members.setdefault(block_id, []).append(entity)
-            sizes[block_id] += 1
-            self._update_inverse(block_id)
-            self._dirty_blocks.add(block_id)
-            arrays.pop(block_id, None)
-        if had_blocks:
-            # |B_entity| changed: every neighborhood containing the entity
-            # is stale, so dirty all of its blocks, not just the new ones.
-            self._dirty_blocks.update(int(b) for b in self.block_slice(entity))
-        self._counts[entity] += len(block_ids)
-        self._delta_assignments += len(block_ids)
-        self._blocks_of_cache.pop(entity, None)
-        self.epoch += 1
+        self.apply_batch(assignments=[(entity, block_ids)])
 
     def apply_batch(
         self,
@@ -295,8 +277,9 @@ class DeltaEntityIndex:
         the matching sequence of :meth:`new_entity` / :meth:`new_block` /
         :meth:`assign` calls, but the statistic arrays are grown once, the
         per-block inverse cardinalities are recomputed in one vectorized
-        pass over the touched blocks, the dirty sets are merged once, and
-        :attr:`epoch` bumps exactly once (an empty batch does not bump).
+        pass over the touched blocks, and :attr:`epoch` bumps exactly once
+        (an empty batch does not bump), so every block the batch touches
+        carries that one stamp.
 
         Validates the whole batch before mutating anything, so a rejected
         batch leaves the index untouched. Returns the new
@@ -346,37 +329,44 @@ class DeltaEntityIndex:
             self._sizes2 = _grow(self._sizes2, total_blocks)
             self._inverse = _grow(self._inverse, total_blocks)
             self._excluded = _grow(self._excluded, total_blocks)
+            self._stamps = _grow(self._stamps, total_blocks)
 
-        touched: set[int] = set()
+        epoch = self.epoch + 1
+        start = cursor = self._delta_assignments
+        stop = start + sum(len(ids) for _, ids in normalized)
+        self._delta_entity_ids = _grow(self._delta_entity_ids, stop)
+        self._delta_block_ids = _grow(self._delta_block_ids, stop)
         renumber: list[int] = []
         for entity, ids in normalized:
             side2 = self.is_bilateral and bool(self._second[entity])
             members = self._delta_members2 if side2 else self._delta_members1
-            sizes = self._sizes2 if side2 else self._sizes1
             arrays = self._delta_arrays2 if side2 else self._delta_arrays1
-            existing = self._delta_blocks_of.setdefault(entity, set())
             if self._counts[entity]:
                 renumber.append(entity)
-            for block_id in ids:
-                existing.add(block_id)
-                members.setdefault(block_id, []).append(entity)
-                sizes[block_id] += 1
-                arrays.pop(block_id, None)
-            touched.update(ids)
             self._counts[entity] += len(ids)
-            self._delta_assignments += len(ids)
+            self._delta_blocks_of.setdefault(entity, set()).update(ids)
             self._blocks_of_cache.pop(entity, None)
-        if touched:
-            block_array = np.fromiter(
-                touched, dtype=np.int64, count=len(touched)
-            )
-            self._update_inverse_many(block_array)
-            self._dirty_blocks.update(touched)
+            for block_id in ids:
+                members.setdefault(block_id, []).append(entity)
+                arrays.pop(block_id, None)
+            end = cursor + len(ids)
+            self._delta_entity_ids[cursor:end] = entity
+            blocks = self._delta_block_ids[cursor:end]
+            blocks[:] = ids
+            # ``ids`` holds no repeats, so one fancy increment is exact.
+            (self._sizes2 if side2 else self._sizes1)[blocks] += 1
+            cursor = end
+        self._assignments += stop - start
+        self._delta_assignments = stop
+        touched = self._delta_block_ids[start:stop]
+        if touched.size:
+            self._update_inverse_many(touched)
+            self._stamps[touched] = epoch
         for entity in renumber:
             # |B_entity| changed mid-stream: every neighborhood containing
-            # the entity went stale, same rule as :meth:`assign`.
-            self._dirty_blocks.update(int(b) for b in self.block_slice(entity))
-        self.epoch += 1
+            # the entity went stale, so all of its blocks are stamped.
+            self._stamps[self.block_slice(entity)] = epoch
+        self.epoch = epoch
         return (
             list(range(entity_start, total_entities)),
             list(range(block_start, total_blocks)),
@@ -387,7 +377,7 @@ class DeltaEntityIndex:
 
         The block keeps its members, sizes and statistics — and survives
         compaction — but no longer contributes comparison partners. Its
-        members' neighborhoods change, so it is marked dirty.
+        members' neighborhoods change, so it is stamped.
         """
         if not 0 <= block_id < len(self._keys):
             raise ValueError(f"unknown block id {block_id}")
@@ -395,8 +385,8 @@ class DeltaEntityIndex:
             return
         self._excluded[block_id] = True
         self._has_exclusions = True
-        self._dirty_blocks.add(block_id)
         self.epoch += 1
+        self._stamps[block_id] = self.epoch
 
     def is_excluded(self, block_id: int) -> bool:
         return bool(self._excluded[block_id])
@@ -415,30 +405,36 @@ class DeltaEntityIndex:
             return []
         return np.flatnonzero(self._second[: self._num_entities]).tolist()
 
-    # -- dirty tracking ------------------------------------------------------
+    # -- staleness stamps ----------------------------------------------------
 
     @property
-    def dirty_blocks(self) -> frozenset[int]:
-        """Blocks touched since the last :meth:`drain_dirty` (undrained)."""
-        return frozenset(self._dirty_blocks)
+    def block_stamps(self) -> np.ndarray:
+        """Per block, the epoch of the last mutation that changed any
+        neighborhood through it (0: none since construction; live view)."""
+        return self._stamps[: len(self._keys)]
 
-    def drain_dirty(self) -> tuple[set[int], set[int]]:
-        """Return and clear ``(dirty_blocks, affected_nodes)``.
+    def assignment_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``(entity, block)`` membership as two aligned int64 arrays.
 
-        The affected nodes are the *current* members (both sides) of every
-        block touched since the previous drain — exactly the entities whose
-        per-node weight state a caller must invalidate.
+        The base's entity CSR expanded in entity order, then the delta's
+        assignments in append order (read-only; without a base they are
+        views of the index's own buffers). Together with
+        :attr:`block_stamps` this finds every node with a block stamped
+        after some per-node epoch in a few vectorized passes.
         """
-        blocks = self._dirty_blocks
-        self._dirty_blocks = set()
-        nodes: set[int] = set()
-        for block_id in blocks:
-            nodes.update(int(e) for e in self._members(block_id, side2=False))
-            if self.is_bilateral:
-                nodes.update(
-                    int(e) for e in self._members(block_id, side2=True)
-                )
-        return blocks, nodes
+        count = self._delta_assignments
+        entities = self._delta_entity_ids[:count]
+        blocks = self._delta_block_ids[:count]
+        base = self._base
+        if base is None:
+            return entities, blocks
+        base_entities = np.repeat(
+            np.arange(base.num_entities, dtype=np.int64), np.diff(base.indptr)
+        )
+        return (
+            np.concatenate((base_entities, entities)),
+            np.concatenate((base.block_indices, blocks)),
+        )
 
     # -- read-through Entity Index API ---------------------------------------
 
@@ -775,6 +771,8 @@ class DeltaEntityIndex:
         self._blocks_of_cache = {}
         self._delta_arrays1 = {}
         self._delta_arrays2 = {}
+        self._delta_entity_ids = _EMPTY_I64
+        self._delta_block_ids = _EMPTY_I64
         self._delta_assignments = 0
         return base
 
@@ -808,19 +806,11 @@ class DeltaEntityIndex:
         position = int(np.searchsorted(base_slice, block_id))
         return position < base_slice.size and int(base_slice[position]) == block_id
 
-    def _update_inverse(self, block_id: int) -> None:
-        if self.is_bilateral:
-            card = int(self._sizes1[block_id]) * int(self._sizes2[block_id])
-        else:
-            size = int(self._sizes1[block_id])
-            card = size * (size - 1) // 2
-        self._inverse[block_id] = 1.0 / card if card > 0 else 0.0
-
     def _update_inverse_many(self, block_ids: np.ndarray) -> None:
-        """Vectorized :meth:`_update_inverse` over many blocks at once.
+        """Recompute ``1 / ||b||`` (0 when ``||b|| = 0``) for these blocks.
 
-        ``1.0 / int64`` is the same IEEE division the scalar path performs,
-        so batched and per-call maintenance stay bit-identical.
+        ``1.0 / int64`` is the IEEE division ``from_csr`` performs, so the
+        maintained values stay bit-identical to a fresh build.
         """
         sizes1 = self._sizes1[block_ids]
         if self.is_bilateral:

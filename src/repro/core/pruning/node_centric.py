@@ -61,12 +61,11 @@ def node_criteria(
     mean weight. Entities with empty neighbourhoods are skipped, exactly
     as the batch algorithms skip them.
 
-    This is the dirty-neighborhood re-pruning entry point of the
-    incremental resolver: after an upsert it re-derives criteria only for
-    the affected nodes, with the same selection and tie-breaking as a full
-    batch pass. Each run of ``chunk_size`` entities (a node count,
-    :data:`NODE_CRITERIA_BATCH` by default) is served by one
-    ``neighborhood_batch`` call.
+    This is the re-pruning entry point of the incremental resolver: at
+    export it re-derives criteria only for the stale nodes, with the same
+    selection and tie-breaking as a full batch pass. Each run of
+    ``chunk_size`` entities (a node count, :data:`NODE_CRITERIA_BATCH` by
+    default) is served by one ``neighborhood_batch`` call.
     """
     nodes = max(1, chunk_size) if chunk_size else NODE_CRITERIA_BATCH
     for start in range(0, len(entities), nodes):

@@ -64,7 +64,7 @@ class WeightingScheme(ABC):
     #: Whether weights depend on the collection-level block count ``|B|``.
     #: On a mutable index every new block then shifts *all* edge weights,
     #: so incremental consumers must invalidate every per-node memo when
-    #: ``|B|`` grows, not just the dirty neighborhoods.
+    #: ``|B|`` grows, not just the stamped neighborhoods.
     uses_total_blocks: bool = False
     #: Whether the scheme can serve streaming/incremental queries. Degree-
     #: based schemes need a full extra pass over the graph per epoch, which

@@ -25,7 +25,9 @@ layer over the exact batch machinery, running on a mutable
   weighted neighbours, CNP-style, optionally validated by the reciprocal
   test), and :meth:`IncrementalMetaBlocking.candidate_pairs` exports the
   full pruned graph with the batch kernels, re-deriving criteria only for
-  the *dirty* neighborhoods the index reported since the last export.
+  the *stale* nodes: those with a block the index stamped after their
+  criteria were computed (found in one vectorized pass at export, so an
+  upsert pays for its own blocks only, never for their members).
 
 Weights use the paper's schemes over the *current* state, so early weights
 drift as the collection grows — the standard incremental-ER trade-off. EJS
@@ -261,14 +263,17 @@ class IncrementalMetaBlocking:
         self._profiles: list[EntityProfile] = []
         self._key_to_block: dict[str, int] = {}
         # Per-node pruning state: entity -> (ascending top-k neighbor ids,
-        # neighborhood mean weight). An entry is valid unless the entity is
-        # in the dirty set; dirty entries are re-derived lazily (at the
-        # next reciprocal probe or export) with the batch kernels.
+        # neighborhood mean weight), and per entity the index epoch its
+        # entry was computed at (-1: no entry). An entry is valid while
+        # none of the node's blocks carries a newer stamp
+        # (DeltaEntityIndex.block_stamps); stale entries are re-derived
+        # lazily (at the next reciprocal probe or export) with the batch
+        # kernels.
         self._criteria: dict[int, tuple[np.ndarray, float]] = {}
-        self._dirty_nodes: set[int] = set()
+        self._criteria_epochs = np.full(0, -1, dtype=np.int64)
         # |B| at the time the criteria were valid: schemes whose weights
         # depend on the total block count (ECBS, X2) invalidate everything
-        # when a new block appears, not just dirty neighborhoods.
+        # when a new block appears, not just stamped neighborhoods.
         self._criteria_blocks = 0
 
         #: The attached write-ahead log, or ``None`` when memory-only.
@@ -351,7 +356,6 @@ class IncrementalMetaBlocking:
                             and index.block_size(block_id) > self.max_block_size
                         ):
                             index.exclude_block(block_id)
-            self._absorb_dirty()
             if clock:
                 now = clock()
                 self.phase_seconds["index"] += now - tick
@@ -376,8 +380,8 @@ class IncrementalMetaBlocking:
         Semantically equivalent to calling :meth:`add` once per profile in
         order — Block Filtering sees the same intermediate block sizes, the
         size guard excludes blocks at the same points, each profile's
-        candidates only reference earlier entities, and the criteria cache
-        and dirty set end in the same state — but the whole batch costs one
+        candidates only reference earlier entities, and every later export
+        re-derives the same criteria — but the whole batch costs one
         index mutation (one epoch bump) and a handful of fused multi-node
         kernel calls instead of per-upsert kernel launches. For the
         insertion-count schemes (CBS, JS) the candidate lists are
@@ -481,7 +485,6 @@ class IncrementalMetaBlocking:
         try:
             self._key_to_block.update(batch_keys)
             self._profiles.extend(profiles)
-            self._absorb_dirty()
             if clock:
                 now = clock()
                 self.phase_seconds["index"] += now - tick
@@ -503,7 +506,6 @@ class IncrementalMetaBlocking:
                 while event < len(crossings) and crossings[event][0] == cursor:
                     index.exclude_block(crossings[event][1])
                     event += 1
-                self._absorb_dirty()
                 stop = crossings[event][0] if event < len(crossings) else len(
                     profiles
                 )
@@ -621,12 +623,12 @@ class IncrementalMetaBlocking:
     def candidate_pairs(self, algorithm: str = "CNP") -> ComparisonView:
         """Node-centric pruning over the *whole* current collection.
 
-        Re-derives per-node criteria only for neighborhoods dirtied since
-        the last export, then runs the requested batch algorithm's
-        retention with those criteria — for ``CNP`` straight from the
-        cache, for the two-phase families (``ReCNP``/``ReWNP`` and their
-        reciprocal variants) by streaming phase 2 over the distinct-edge
-        stream. The result matches the batch algorithm run on
+        Re-derives per-node criteria only for stale nodes (no entry yet,
+        or a block stamped since the entry), then runs the requested batch
+        algorithm's retention with those criteria — for ``CNP`` straight
+        from the cache, for the two-phase families (``ReCNP``/``ReWNP``
+        and their reciprocal variants) by streaming phase 2 over the
+        distinct-edge stream. The result matches the batch algorithm run on
         :meth:`to_block_collection` with the same explicit ``k`` (exactly
         for the integer-statistic schemes CBS/JS; ARCS sums can differ in
         the last float bit when block orders differ).
@@ -1057,11 +1059,11 @@ class IncrementalMetaBlocking:
         )
         self._profiles = profiles
         self._key_to_block = {key: pos for pos, key in enumerate(keys)}
-        # Criteria are a pure function of the collection: dirtying every
-        # placed node makes the next export re-derive them bit-identically
-        # to an uninterrupted run.
+        # Criteria are a pure function of the collection: with no entries,
+        # every placed node is stale, so the next export re-derives them
+        # bit-identically to an uninterrupted run.
         self._criteria = {}
-        self._dirty_nodes = set(index.placed_entities())
+        self._criteria_epochs = np.full(0, -1, dtype=np.int64)
         self._criteria_blocks = 0
         self.compactions = int(state.get("compactions", 0))
 
@@ -1139,7 +1141,7 @@ class IncrementalMetaBlocking:
         segment to ``neighbor < member id`` — reproducing the at-insert
         state exactly for the insertion-count schemes. Criteria are cached
         only for members whose neighborhoods no later batch event touches
-        (the sequential path would leave everyone else dirty too).
+        (the sequential path would leave everyone else stale too).
         """
         clock = time.perf_counter if self.profile_phases else None
         if clock:
@@ -1227,7 +1229,9 @@ class IncrementalMetaBlocking:
             results[position] = retained
             # Cache the criteria only when no later batch member joins any
             # of the entity's blocks and none of them crosses the size cap
-            # afterwards; the sequential path would re-dirty it otherwise.
+            # afterwards: only then is the masked neighborhood the
+            # post-batch one. The batch's stamps all predate this entry, so
+            # they could not mark a partial one stale.
             if all(
                 last_position[block_id] == position
                 and crossing_after.get(block_id, -1) <= position
@@ -1248,7 +1252,7 @@ class IncrementalMetaBlocking:
         Masks the shared probe to ``neighbor <= entity`` (the state the
         sequential path evaluates at ``entity``'s insertion) and checks
         the top-k there. ``other``'s own cache entry is left alone — it
-        stays dirty and is re-derived at the next export, which yields the
+        stays stale and is re-derived at the next export, which yields the
         same values.
         """
         probe_neighbors, probe_weights = probes[other]
@@ -1260,18 +1264,22 @@ class IncrementalMetaBlocking:
         selected = select_topk_neighbors(weights, neighbors, self.k)
         return bool(np.any(neighbors[selected] == entity))
 
-    def _absorb_dirty(self) -> None:
-        """Pull the index's dirty blocks into the stale-criteria set."""
-        _, nodes = self.index.drain_dirty()
-        for node in nodes:
-            self._criteria.pop(node, None)
-        self._dirty_nodes.update(nodes)
-
     def _store_criteria(
         self, entity: int, topk: np.ndarray, mean: float
     ) -> None:
+        """Cache ``entity``'s criteria as computed at the current epoch."""
         self._criteria[entity] = (topk, mean)
-        self._dirty_nodes.discard(entity)
+        self._entry_epochs()[entity] = self.index.epoch
+
+    def _entry_epochs(self) -> np.ndarray:
+        """The per-entity criteria epochs, grown to cover every entity."""
+        epochs = self._criteria_epochs
+        needed = self.index.num_entities
+        if epochs.size < needed:
+            grown = np.full(max(needed, 2 * epochs.size), -1, dtype=np.int64)
+            grown[: epochs.size] = epochs
+            self._criteria_epochs = epochs = grown
+        return epochs
 
     def _query(self, entity: int) -> list[Candidate]:
         """Score the new node's neighborhood and return its top-k."""
@@ -1319,10 +1327,13 @@ class IncrementalMetaBlocking:
         return retained
 
     def _criterion_ids(self, entity: int) -> np.ndarray:
-        """The entity's current top-k neighbor ids (cached unless dirty)."""
-        if entity not in self._dirty_nodes:
-            cached = self._criteria.get(entity)
-            if cached is not None:
+        """The entity's current top-k neighbor ids (cached unless stale)."""
+        cached = self._criteria.get(entity)
+        if cached is not None:
+            index = self.index
+            stamps = index.block_stamps[index.block_slice(entity)]
+            computed = self._criteria_epochs[entity]
+            if not stamps.size or stamps.max() <= computed:
                 return cached[0]
         neighbors, _, weights = self._weighting.weighted_neighborhood(entity)
         if neighbors.size == 0:
@@ -1342,27 +1353,40 @@ class IncrementalMetaBlocking:
         return bool(np.any(self._criterion_ids(other) == entity))
 
     def _refresh_criteria(self) -> None:
-        """Re-derive pruning criteria for every dirty neighborhood."""
-        self._absorb_dirty()
+        """Re-derive pruning criteria for every stale node.
+
+        A placed node is stale when it has no entry, or when one of its
+        blocks carries a stamp newer than its entry's epoch; one vectorized
+        pass over every (entity, block) assignment finds them all.
+        """
         index = self.index
+        epochs = self._entry_epochs()
         if (
             self.scheme.uses_total_blocks
             and index.num_blocks != self._criteria_blocks
         ):
             # |B| shifted every weight in the graph; nothing is reusable.
             self._criteria.clear()
-            self._dirty_nodes.update(index.placed_entities())
+            epochs.fill(-1)
         self._criteria_blocks = index.num_blocks
-        if not self._dirty_nodes:
+        entities, blocks = index.assignment_arrays()
+        flagged = np.zeros(index.num_entities, dtype=bool)
+        flagged[entities[index.block_stamps[blocks] > epochs[entities]]] = True
+        stale_ids = np.flatnonzero(flagged)
+        if not stale_ids.size:
             return
-        dirty = sorted(self._dirty_nodes)
-        workers = self._kernel_workers(len(dirty))
+        stale = stale_ids.tolist()
+        # Kept where nothing is yielded below: the neighborhood is empty
+        # (e.g. all of the node's blocks are excluded) — no retained
+        # edges, no mean.
+        self._criteria.update(dict.fromkeys(stale, (_EMPTY_IDS, float("inf"))))
+        workers = self._kernel_workers(len(stale))
         if workers > 1:
-            # Delta-aware parallel re-pruning: the dirty set is split into
-            # contiguous chunks and each thread re-derives criteria with
-            # its own weighting clone over the *shared* delta index — no
-            # compaction needed first. Per-node results are independent,
-            # so the merge is trivially deterministic.
+            # Delta-aware parallel re-pruning: the stale nodes are split
+            # into contiguous chunks and each thread re-derives criteria
+            # with its own weighting clone over the *shared* delta index —
+            # no compaction needed first. Per-node results are
+            # independent, so the merge is trivially deterministic.
             self._weighting.prime()
             shared_index = self.index
             scheme = self.scheme
@@ -1375,8 +1399,8 @@ class IncrementalMetaBlocking:
                 return list(node_criteria(clone, chunk, k))
 
             chunks = [
-                dirty[start : start + NODE_CRITERIA_BATCH]
-                for start in range(0, len(dirty), NODE_CRITERIA_BATCH)
+                stale[start : start + NODE_CRITERIA_BATCH]
+                for start in range(0, len(stale), NODE_CRITERIA_BATCH)
             ]
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 for part in pool.map(run, chunks):
@@ -1384,15 +1408,10 @@ class IncrementalMetaBlocking:
                         self._criteria[entity] = (topk, mean)
         else:
             for entity, topk, mean in node_criteria(
-                self._weighting, dirty, self.k
+                self._weighting, stale, self.k
             ):
                 self._criteria[entity] = (topk, mean)
-        for entity in dirty:
-            # Not yielded: the neighborhood is empty (e.g. all of the
-            # node's blocks are excluded) — no retained edges, no mean.
-            if entity not in self._criteria:
-                self._criteria[entity] = (_EMPTY_IDS, float("inf"))
-        self._dirty_nodes.clear()
+        epochs[stale_ids] = index.epoch
 
     def _kernel_workers(self, nodes: int) -> int:
         """Thread count for a multi-node kernel pass over ``nodes`` nodes.

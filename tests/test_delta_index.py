@@ -46,6 +46,19 @@ def build_reference(delta: DeltaEntityIndex) -> EntityIndex:
     return EntityIndex(delta.to_block_collection())
 
 
+def stale_since(index: DeltaEntityIndex, epoch: int) -> set[int]:
+    """Entities with a block stamped after ``epoch``."""
+    entities, blocks = index.assignment_arrays()
+    return set(entities[index.block_stamps[blocks] > epoch].tolist())
+
+
+def assert_delta_fraction_exact(index: DeltaEntityIndex) -> None:
+    """The running assignment total agrees with the full ``|B_i|`` sum."""
+    total = int(index.block_counts.sum())
+    expected = index.delta_assignments / total if total else 0.0
+    assert index.delta_fraction == expected
+
+
 class TestDeltaBasics:
     def test_empty_index(self):
         index = DeltaEntityIndex()
@@ -82,8 +95,29 @@ class TestDeltaBasics:
         block = index.new_block()
         entity = index.new_entity()
         index.assign(entity, [block])
+        other = index.new_entity()
+
+        def state():
+            return (
+                index.block_size(block),
+                index.members(block).tolist(),
+                index.cooccurrence_arrays(entity)[0].tolist(),
+                index.block_counts.tolist(),
+                index.delta_assignments,
+                index.epoch,
+                index.block_stamps.tolist(),
+            )
+
+        before = state()
         with pytest.raises(ValueError, match="already"):
             index.assign(entity, [block])
+        # Rejected calls leave nothing behind, even when an earlier id of
+        # the same call was valid.
+        with pytest.raises(ValueError, match="unknown block id 7"):
+            index.assign(other, [block, 7])
+        with pytest.raises(ValueError, match="already"):
+            index.assign(other, [block, block])
+        assert state() == before
 
     def test_rejects_second_side_on_unilateral(self):
         index = DeltaEntityIndex()
@@ -101,16 +135,23 @@ class TestDeltaBasics:
     def test_dirty_tracking(self):
         index = DeltaEntityIndex()
         block = index.new_block()
+        index.new_block()
         first = index.new_entity()
         index.assign(first, [block])
-        index.drain_dirty()
+        seen = index.epoch
         second = index.new_entity()
         index.assign(second, [block])
-        dirty_blocks, dirty_nodes = index.drain_dirty()
-        # The shared block is dirty, and both members are affected nodes.
-        assert block in dirty_blocks
-        assert dirty_nodes == {first, second}
-        assert index.drain_dirty() == (set(), set())
+        # The shared block is stamped past ``seen``, so both members'
+        # state from ``seen`` is stale; the untouched block is not.
+        assert index.block_stamps.tolist() == [index.epoch, 0]
+        assert stale_since(index, seen) == {first, second}
+        # Nothing is stale against the current epoch.
+        assert stale_since(index, index.epoch) == set()
+        # Excluding a block changes its members' neighborhoods.
+        seen = index.epoch
+        index.exclude_block(block)
+        assert index.block_stamps[block] == index.epoch > seen
+        assert stale_since(index, seen) == {first, second}
 
     def test_exclusion_veils_cooccurrences(self):
         index = DeltaEntityIndex()
@@ -152,6 +193,7 @@ def replay(
             index.assign(entity, memberships)
         if step in compact_points:
             index.compact(shared=shared)
+        assert_delta_fraction_exact(index)
     return index
 
 
@@ -171,6 +213,7 @@ def test_compaction_bit_identical_to_batch_build(
     index = replay(script, bilateral, compact_at)
     compacted = index.compact()
     assert_csr_identical(compacted, build_reference(index))
+    assert_delta_fraction_exact(index)
 
 
 @settings(max_examples=25, deadline=None)
@@ -183,6 +226,7 @@ def test_read_through_equals_batch_before_compaction(script, bilateral):
     compacting first."""
     index = replay(script, bilateral, compact_points=set())
     reference = build_reference(index)
+    assert_delta_fraction_exact(index)
     np.testing.assert_array_equal(index.block_counts, reference.block_counts)
     np.testing.assert_array_equal(
         index.inverse_cardinality_array, reference.inverse_cardinality_array
@@ -340,7 +384,18 @@ class TestApplyBatch:
         np.testing.assert_array_equal(
             seq.inverse_cardinality_array, bat.inverse_cardinality_array
         )
-        assert seq.drain_dirty() == bat.drain_dirty()
+        # The same blocks are stamped, the batch with its one epoch, so the
+        # same nodes are stale; the flat assignments match too.
+        touched = np.flatnonzero(seq.block_stamps)
+        np.testing.assert_array_equal(
+            np.flatnonzero(bat.block_stamps), touched
+        )
+        assert set(bat.block_stamps[touched].tolist()) == {bat.epoch}
+        assert stale_since(seq, 0) == stale_since(bat, 0)
+        for mine, theirs in zip(
+            seq.assignment_arrays(), bat.assignment_arrays()
+        ):
+            np.testing.assert_array_equal(mine, theirs)
 
     def test_single_epoch_bump(self):
         index = DeltaEntityIndex()
@@ -371,11 +426,16 @@ class TestApplyBatch:
         old = index.new_entity()
         first = index.new_block("first")
         index.assign(old, [first])
-        index.drain_dirty()
+        seen = index.epoch
         index.apply_batch([False], ["second"], [(old, [1]), (1, [0, 1])])
-        dirty_blocks, dirty_nodes = index.drain_dirty()
-        assert dirty_blocks == {0, 1}
-        assert old in dirty_nodes
+        assert np.flatnonzero(index.block_stamps > seen).tolist() == [0, 1]
+        assert old in stale_since(index, seen)
+        # |B_old| changing stamps its old block even when nobody joins it.
+        index.new_block("third")
+        seen = index.epoch
+        index.assign(old, [2])
+        assert index.block_stamps.tolist() == [index.epoch] * 3
+        assert stale_since(index, seen) == {old, 1}
 
     def test_validates_before_mutating(self):
         index = DeltaEntityIndex()

@@ -1,14 +1,18 @@
 """Unit and behaviour tests for Incremental Meta-blocking."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import TokenBlocking
 from repro.datamodel.profiles import EntityProfile
 from repro.datasets import paper_example_dataset
 from repro.datasets.synthetic import DatasetScale, bibliographic_dataset
-from repro.incremental import Candidate, IncrementalMetaBlocking
+from repro.incremental import (
+    EXPORT_ALGORITHMS,
+    Candidate,
+    IncrementalMetaBlocking,
+)
 
 
 def _profile(identifier: str, text: str) -> EntityProfile:
@@ -200,6 +204,24 @@ class TestStreamQuality:
             candidate.weight = 0.9  # type: ignore[misc]
 
 
+#: One upsert of the staleness property: a token list and a source tag.
+_UPSERT = st.tuples(
+    st.lists(
+        st.sampled_from([f"t{i}" for i in range(8)]), min_size=1, max_size=4
+    ),
+    st.integers(0, 1),
+)
+#: One step of the staleness property: an upsert call or a read/compaction.
+_STEP = st.one_of(
+    st.tuples(st.just("add"), _UPSERT),
+    st.tuples(st.just("add_batch"), st.lists(_UPSERT, min_size=1, max_size=4)),
+    st.tuples(st.just("submit"), _UPSERT),
+    st.tuples(st.just("query"), st.integers(0, 63)),
+    st.tuples(st.just("compact"), st.none()),
+    st.tuples(st.just("export"), st.sampled_from(EXPORT_ALGORITHMS)),
+)
+
+
 class TestBatchEquivalence:
     """Post-stream exports match the batch pipeline on the same collection.
 
@@ -296,36 +318,129 @@ class TestBatchEquivalence:
         )
         assert sorted(streaming.pairs) == sorted(batch.comparisons.pairs)
 
-    def test_dirty_repruning_matches_full_recompute(self):
-        """Exports after further upserts (dirty-subset re-pruning) equal a
-        from-scratch resolver's export over the same profiles."""
-        dataset = bibliographic_dataset(
-            DatasetScale(size1=20, size2=40, num_duplicates=15), seed=13
-        )
-        profiles = list(dataset.iter_profiles())
-        warm = IncrementalMetaBlocking(
-            TokenBlocking().keys_for, scheme="JS", k=2, filtering_ratio=1.0,
-            clean_clean=True,
-        )
-        for entity_id, profile in profiles[: len(profiles) // 2]:
-            warm.add(profile, source=dataset.source_of(entity_id))
-        warm.candidate_pairs("CNP")  # populate criteria, clear dirty set
-        for entity_id, profile in profiles[len(profiles) // 2 :]:
-            warm.add(profile, source=dataset.source_of(entity_id))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scheme=st.sampled_from(["ARCS", "CBS", "ECBS", "JS"]),
+        reciprocal=st.booleans(),
+        max_block_size=st.sampled_from([None, 3]),
+        clean_clean=st.booleans(),
+        steps=st.lists(_STEP, min_size=1, max_size=25),
+    )
+    # |B| grows through a block in nobody's neighborhood: ECBS criteria
+    # cached by the first export must still be rebuilt.
+    @example(
+        scheme="ECBS",
+        reciprocal=False,
+        max_block_size=None,
+        clean_clean=True,
+        steps=[
+            ("add", (["t0"], 0)),
+            ("add", (["t0"], 1)),
+            ("add", (["t0", "t2"], 0)),
+            ("export", "CNP"),
+            ("add", (["t1"], 0)),
+        ],
+    )
+    # The size guard veils the only block of nodes the export cached: their
+    # entries must empty out, not keep the old neighbors.
+    @example(
+        scheme="CBS",
+        reciprocal=False,
+        max_block_size=3,
+        clean_clean=False,
+        steps=[
+            ("add", (["t0"], 0)),
+            ("add", (["t0"], 0)),
+            ("export", "CNP"),
+            ("add_batch", [(["t0"], 0), (["t0"], 0)]),
+        ],
+    )
+    def test_dirty_repruning_matches_full_recompute(
+        self, scheme, reciprocal, max_block_size, clean_clean, steps
+    ):
+        """Property: cached criteria never go stale unnoticed.
 
-        cold = IncrementalMetaBlocking(
-            TokenBlocking().keys_for, scheme="JS", k=2, filtering_ratio=1.0,
-            clean_clean=True,
+        A resolver takes a random token stream through a random mix of
+        ``add``, ``add_batch`` and ``submit``, with ``query``, ``compact``
+        and ``candidate_pairs`` calls at random points. Every per-upsert
+        candidate list, every query and every export must equal, order
+        included, what a fresh resolver returns after replaying the same
+        upserts, batch splits and compactions with no earlier export or
+        query. The axes cover reciprocal probes, size-guard exclusions and
+        the ECBS ``|B|`` rule.
+        """
+        config = dict(
+            keys_for=list,  # profiles are plain token lists
+            scheme=scheme,
+            k=2,
+            reciprocal=reciprocal,
+            max_block_size=max_block_size,
+            clean_clean=clean_clean,
         )
-        for entity_id, profile in profiles:
-            cold.add(profile, source=dataset.source_of(entity_id))
 
-        assert list(warm.candidate_pairs("CNP").pairs) == list(
-            cold.candidate_pairs("CNP").pairs
-        )
-        assert list(warm.candidate_pairs("ReWNP").pairs) == list(
-            cold.candidate_pairs("ReWNP").pairs
-        )
+        def replay(log):
+            fresh = IncrementalMetaBlocking(**config)
+            lists = []
+            for upserts in log:
+                if upserts is None:
+                    fresh.compact()
+                else:
+                    lists.extend(
+                        fresh.add_batch(
+                            [tokens for tokens, _ in upserts],
+                            [source for _, source in upserts],
+                        )
+                    )
+            return fresh, lists
+
+        def sourced(upsert):
+            tokens, source = upsert
+            return tokens, source if clean_clean else 0
+
+        resolver = IncrementalMetaBlocking(**config, batch_size=3)
+        log: list = []  # committed upsert batches; None marks a compaction
+        lists: list = []
+        pending: list = []
+        finale = [("export", algorithm) for algorithm in EXPORT_ALGORITHMS]
+        for op, arg in steps + finale:
+            if op == "add":
+                log.append([sourced(arg)])
+                lists.append(resolver.add(*log[-1][0]))
+            elif op == "add_batch":
+                log.append([sourced(upsert) for upsert in arg])
+                lists.extend(
+                    resolver.add_batch(
+                        [tokens for tokens, _ in log[-1]],
+                        [source for _, source in log[-1]],
+                    )
+                )
+            elif op == "submit":
+                pending.append(sourced(arg))
+                flushed = resolver.submit(*pending[-1])
+                if flushed is not None:
+                    log.append(pending)
+                    lists.extend(flushed)
+                    pending = []
+            else:
+                if pending:
+                    # Commit the buffer here, as query/compact/export
+                    # would, so its candidate lists are recorded too.
+                    log.append(pending)
+                    lists.extend(resolver.flush())
+                    pending = []
+                if op == "compact":
+                    resolver.compact()
+                    log.append(None)
+                    continue
+                reference, expected = replay(log)
+                assert lists == expected
+                if op == "export":
+                    assert list(resolver.candidate_pairs(arg).pairs) == list(
+                        reference.candidate_pairs(arg).pairs
+                    ), arg
+                elif len(resolver):
+                    target = arg % len(resolver)
+                    assert resolver.query(target) == reference.query(target)
 
     def test_compaction_preserves_resolver_state(self):
         dataset = bibliographic_dataset(
