@@ -462,16 +462,18 @@ class DeltaEntityIndex:
         """``B_i`` — ascending block positions containing ``entity``."""
         delta = self._delta_blocks_of.get(entity)
         base = self._base
-        if base is not None and entity < base.num_entities:
-            base_slice = base.block_slice(entity)
-        else:
-            base_slice = np.empty(0, dtype=np.int64)
+        in_base = base is not None and entity < base.num_entities
         if not delta:
-            return base_slice
+            return base.block_slice(entity) if in_base else _EMPTY_I64
         cached = self._blocks_of_cache.get(entity)
         if cached is None:
-            extra = np.fromiter(delta, dtype=np.int64, count=len(delta))
-            cached = np.sort(np.concatenate((base_slice, extra)))
+            if in_base:
+                extra = np.fromiter(delta, dtype=np.int64, count=len(delta))
+                cached = np.sort(
+                    np.concatenate((base.block_slice(entity), extra))
+                )
+            else:
+                cached = np.array(sorted(delta), dtype=np.int64)
             self._blocks_of_cache[entity] = cached
         return cached
 
@@ -523,8 +525,9 @@ class DeltaEntityIndex:
         """See :meth:`EntityIndex.cooccurrence_arrays`.
 
         The base contribution comes from one multi-range gather over the
-        base member arrays; delta appends are overlaid per block. Excluded
-        blocks are skipped entirely.
+        base member arrays; the delta appends of every block, in ascending
+        block position, are joined as Python lists and converted once.
+        Excluded blocks are skipped entirely.
         """
         positions = self.block_slice(entity)
         if self._has_exclusions and positions.size:
@@ -534,8 +537,7 @@ class DeltaEntityIndex:
         delta = self._delta_members1 if use_side1 else self._delta_members2
         if not self.is_bilateral:
             delta = self._delta_members1
-        pieces_ids: list[np.ndarray] = []
-        pieces_blocks: list[np.ndarray] = []
+        ids = blocks = _EMPTY_I64
         if base is not None and positions.size:
             base_positions = positions[positions < base.num_blocks]
             if use_side1 or not self.is_bilateral:
@@ -543,22 +545,22 @@ class DeltaEntityIndex:
             else:
                 indptr, members = base.member_indptr2, base.members2
             ids, blocks = multi_range_gather(indptr, members, base_positions)
-            if ids.size:
-                pieces_ids.append(ids)
-                pieces_blocks.append(blocks)
         if delta:
+            delta_ids: list[int] = []
+            delta_blocks: list[int] = []
             for position in positions.tolist():
                 appended = delta.get(position)
                 if appended:
-                    pieces_ids.append(np.asarray(appended, dtype=np.int64))
-                    pieces_blocks.append(
-                        np.full(len(appended), position, dtype=np.int64)
-                    )
-        if not pieces_ids:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        ids = np.concatenate(pieces_ids)
-        blocks = np.concatenate(pieces_blocks)
+                    delta_ids += appended
+                    delta_blocks += [position] * len(appended)
+            if delta_ids:
+                extra_ids = np.array(delta_ids, dtype=np.int64)
+                extra_blocks = np.array(delta_blocks, dtype=np.int64)
+                if ids.size:
+                    ids = np.concatenate((ids, extra_ids))
+                    blocks = np.concatenate((blocks, extra_blocks))
+                else:
+                    ids, blocks = extra_ids, extra_blocks
         if not self.is_bilateral and ids.size:
             keep = ids != entity
             ids, blocks = ids[keep], blocks[keep]

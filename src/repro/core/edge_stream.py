@@ -332,31 +332,24 @@ def select_topk_neighbors(
     """Indices of the ``k`` best ``(weight, neighbor)`` entries.
 
     Reproduces :class:`~repro.utils.topk.TopKHeap` exactly: entries are
-    ranked by weight, ties broken by the larger neighbor id. Returned
-    indices are unordered (callers sort the selected ids as needed).
+    ranked by weight, ties broken by the larger neighbor id. One
+    ``argpartition`` finds the k-th largest weight; every entry at least
+    that heavy is kept, and only when boundary ties make that more than
+    ``k`` are the kept entries ranked by ``(weight, neighbor)`` to drop the
+    lightest, smallest-id ones. Returned indices are unordered (callers
+    sort the selected ids as needed).
     """
     count = int(weights.size)
     if k <= 0:
         return np.empty(0, dtype=np.int64)
     if k >= count:
         return np.arange(count, dtype=np.int64)
-    cut = np.argpartition(weights, count - k)[count - k :]
-    cut_weights = weights[cut]
-    boundary = float(cut_weights.min())
-    # Fast path: every boundary-weight entry already sits inside the cut, so
-    # argpartition's arbitrary tie choice was no choice at all.
-    if np.count_nonzero(weights == boundary) == np.count_nonzero(
-        cut_weights == boundary
-    ):
-        return cut
-    strictly = np.flatnonzero(weights > boundary)
-    ties = np.flatnonzero(weights == boundary)
-    need = k - strictly.size
-    if need < ties.size:
-        # Among boundary ties the larger neighbor ids win (heap tie rule).
-        order = np.argsort(neighbors[ties], kind="stable")
-        ties = ties[order[ties.size - need :]]
-    return np.concatenate((strictly, ties))
+    kth = weights[np.argpartition(weights, count - k)[count - k]]
+    kept = (weights >= kth).nonzero()[0]
+    if kept.size == k:
+        return kept
+    ranked = np.lexsort((neighbors[kept], weights[kept]))
+    return kept[ranked[kept.size - k :]]
 
 
 def select_topk_edges(

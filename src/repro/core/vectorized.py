@@ -69,23 +69,38 @@ class VectorizedEdgeWeighting(EdgeWeighting):
     def _neighborhood_stats(
         self, entity: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct ``(neighbors, common_counts, arcs_sums)`` arrays."""
+        """Distinct ``(neighbors, common_counts, arcs_sums)`` arrays.
+
+        Schemes without an ARCS term count runs of one sorted copy; only
+        ARCS pays for ``np.unique``'s inverse, which ``bincount`` needs to
+        sum ``1/||b||`` in gather order.
+        """
         ids, block_positions = self._cooccurrence_arrays(entity)
         if ids.size == 0:
             empty_float = np.empty(0, dtype=np.float64)
             return ids, np.empty(0, dtype=np.int64), empty_float
-        neighbors, inverse, counts = np.unique(
-            ids, return_inverse=True, return_counts=True
-        )
         if self.scheme.uses_arcs_sum:
+            neighbors, inverse, counts = np.unique(
+                ids, return_inverse=True, return_counts=True
+            )
             arcs = np.bincount(
                 inverse,
                 weights=self._inverse_cardinalities[block_positions],
                 minlength=len(neighbors),
             )
-        else:
-            arcs = np.zeros(len(neighbors), dtype=np.float64)
-        return neighbors, counts, arcs
+            return neighbors, counts, arcs
+        ordered = np.sort(ids)
+        # Run boundaries: each distinct id's first position, then the end.
+        boundary = np.empty(ordered.size + 1, dtype=bool)
+        boundary[0] = boundary[-1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:-1])
+        edges = boundary.nonzero()[0]
+        counts = edges[1:] - edges[:-1]
+        return (
+            ordered[edges[:-1]],
+            counts,
+            np.zeros(counts.size, dtype=np.float64),
+        )
 
     def _weights_for(
         self, entity: int, neighbors: np.ndarray, counts: np.ndarray, arcs: np.ndarray

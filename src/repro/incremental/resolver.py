@@ -37,6 +37,7 @@ its graph-level statistics are exactly what a stream lacks.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -96,6 +97,13 @@ from repro.datamodel.sinks import ComparisonView, InMemorySink
 MIN_COMPACT_ASSIGNMENTS = 256
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+
+
+def _require_integer(name: str, value) -> None:
+    """Reject a non-integral or bool ``value`` with ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 #: The node-centric pruning exports :meth:`candidate_pairs` supports.
 #: Conjunctive (reciprocal) variants pair with their disjunctive bases.
@@ -194,14 +202,19 @@ class IncrementalMetaBlocking:
         wal_dir: "str | os.PathLike[str] | None" = None,
         fsync_policy: "str | None" = None,
     ) -> None:
+        _require_integer("k", k)
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         if not 0.0 < filtering_ratio <= 1.0:
             raise ValueError(
                 f"filtering_ratio must be in (0, 1], got {filtering_ratio}"
             )
-        if max_block_size is not None and max_block_size < 2:
-            raise ValueError(f"max_block_size must be >= 2, got {max_block_size}")
+        if max_block_size is not None:
+            _require_integer("max_block_size", max_block_size)
+            if max_block_size < 2:
+                raise ValueError(
+                    f"max_block_size must be >= 2, got {max_block_size}"
+                )
         self.keys_for = keys_for
         self.scheme = get_scheme(scheme)
         if not self.scheme.streamable:
@@ -226,10 +239,12 @@ class IncrementalMetaBlocking:
             )
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.k = k
+        self.k = int(k)
         self.reciprocal = reciprocal
         self.filtering_ratio = filtering_ratio
-        self.max_block_size = max_block_size
+        self.max_block_size = (
+            None if max_block_size is None else int(max_block_size)
+        )
         self.clean_clean = clean_clean
         self.execution = execution
         self.compact_ratio = compact_ratio
@@ -569,30 +584,32 @@ class IncrementalMetaBlocking:
         (deterministic under ties). Buffered :meth:`submit` profiles are
         committed first so the answer reflects every accepted upsert.
         """
+        if k is None:
+            k = self.k
+        else:
+            _require_integer("k", k)
+            if k < 1:
+                raise ValueError(f"k must be positive, got {k}")
         self.flush()
         if not 0 <= entity_id < self.index.num_entities:
             raise KeyError(
                 f"unknown entity {entity_id} "
                 f"(collection holds {self.index.num_entities})"
             )
-        if k is None:
-            k = self.k
-        elif k < 1:
-            raise ValueError(f"k must be positive, got {k}")
         neighbors, counts, weights = self._weighting.weighted_neighborhood(
             entity_id
         )
         if neighbors.size == 0:
             return []
         selected = select_topk_neighbors(weights, neighbors, k)
-        retained = [
-            Candidate(
-                int(neighbors[position]),
-                float(weights[position]),
-                int(counts[position]),
+        retained = list(
+            map(
+                Candidate,
+                neighbors[selected].tolist(),
+                weights[selected].tolist(),
+                counts[selected].tolist(),
             )
-            for position in selected.tolist()
-        ]
+        )
         retained.sort(key=lambda c: (-c.weight, c.entity_id))
         return retained
 
@@ -1310,19 +1327,19 @@ class IncrementalMetaBlocking:
             self._store_criteria(entity, _EMPTY_IDS, float("inf"))
             return []
         selected = select_topk_neighbors(weights, neighbors, self.k)
+        chosen = neighbors[selected]
         self._store_criteria(
-            entity, np.sort(neighbors[selected]), neighborhood_mean(weights)
+            entity, np.sort(chosen), neighborhood_mean(weights)
         )
-        retained = []
-        for position in selected.tolist():
-            other = int(neighbors[position])
-            if self.reciprocal and not self._reciprocates(entity, other):
-                continue
-            retained.append(
-                Candidate(
-                    other, float(weights[position]), int(counts[position])
-                )
+        retained = [
+            Candidate(other, weight, common)
+            for other, weight, common in zip(
+                chosen.tolist(),
+                weights[selected].tolist(),
+                counts[selected].tolist(),
             )
+            if not self.reciprocal or self._reciprocates(entity, other)
+        ]
         retained.sort(key=lambda c: (-c.weight, c.entity_id))
         return retained
 

@@ -111,6 +111,18 @@ def decode_frame(line: bytes) -> dict:
     return decoded
 
 
+def wire_integer(value: Any, field: str) -> int:
+    """``value`` when it is a JSON integer; ``ValueError`` otherwise.
+
+    ``json`` decodes ``1.7``, ``Infinity`` and ``NaN`` to floats and
+    ``true`` to a bool; ``int()`` would truncate, overflow on or coerce
+    them, so integer fields accept exactly ``int``.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def ok_response(request_id: Any, result: dict) -> dict:
     return {"id": request_id, "ok": True, "result": result}
 
@@ -173,4 +185,5 @@ __all__ = [
     "ok_response",
     "profile_from_wire",
     "profile_to_wire",
+    "wire_integer",
 ]

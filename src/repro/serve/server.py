@@ -90,6 +90,7 @@ from repro.serve.protocol import (
     error_response,
     ok_response,
     profile_from_wire,
+    wire_integer,
 )
 
 #: Default coalescing-buffer flush deadline (seconds of queue idleness).
@@ -557,7 +558,7 @@ class ResolverServer:
         def work():
             fire_chunk_fault("serve:upsert", ordinal, 0, in_worker=True)
             profile = profile_from_wire(request.get("profile"))
-            source = int(request.get("source", 0))
+            source = wire_integer(request.get("source", 0), "source")
             entity_id = len(resolver) + resolver.pending
             return entity_id, resolver.submit(profile, source=source)
 
@@ -621,6 +622,11 @@ class ResolverServer:
             if not isinstance(profiles, list):
                 raise ValueError("batch upsert needs a 'profiles' list")
             sources = request.get("sources")
+            if isinstance(sources, list):
+                for source in sources:
+                    wire_integer(source, "sources element")
+            elif sources is not None:
+                wire_integer(sources, "sources")
 
             def batch():
                 decoded = [profile_from_wire(p) for p in profiles]
@@ -640,13 +646,13 @@ class ResolverServer:
         if verb == "query":
             if "entity_id" not in request:
                 raise ValueError("query needs an 'entity_id'")
-            entity_id = int(request["entity_id"])
+            entity_id = wire_integer(request["entity_id"], "entity_id")
             k = request.get("k")
+            if k is not None:
+                wire_integer(k, "k")
 
             def query():
-                candidates = resolver.query(
-                    entity_id, None if k is None else int(k)
-                )
+                candidates = resolver.query(entity_id, k)
                 return {
                     "entity_id": entity_id,
                     "neighbors": [candidate_to_wire(c) for c in candidates],

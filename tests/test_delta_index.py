@@ -15,6 +15,7 @@ from repro.blockprocessing import (
     save_epoch,
     sweep_stale_epochs,
 )
+from repro.core.vectorized import VectorizedEdgeWeighting
 from repro.datamodel.blocks import Block, BlockCollection
 
 #: Every CSR array whose bit-identity the compaction contract guarantees.
@@ -266,6 +267,78 @@ def test_shared_compaction_round_trips():
         assert index.block_size(blocks[0]) == 5
     finally:
         shared.destroy()
+
+
+# -- single-node kernel vs batch kernel ------------------------------------
+
+#: Up to six blocks (by position, modulo the block count): wide
+#: memberships make neighbors share three or more blocks, where the order
+#: of ARCS sums shows.
+wide_memberships = st.lists(
+    st.integers(min_value=0, max_value=11), min_size=0, max_size=6
+)
+
+#: What follows an upsert: ``(kind, target, memberships)``. Kind 0
+#: compacts, 1 adds a block, 2 excludes block ``target`` (modulo the block
+#: count), 3-5 give entity ``target`` (modulo the entity count) more blocks
+#: — after a compaction, a neighbor's terms then span base and delta runs;
+#: anything larger does nothing.
+delta_event = st.tuples(
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=15),
+    wide_memberships,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    script=st.lists(
+        st.tuples(wide_memberships, st.booleans(), delta_event),
+        min_size=2,
+        max_size=25,
+    ),
+    bilateral=st.booleans(),
+)
+def test_single_node_kernel_equals_batch_kernel(script, bilateral):
+    """``weighted_neighborhood(e)`` equals segment ``e`` of
+    ``neighborhood_batch`` bit for bit over base runs, delta appends,
+    compactions and exclusions: both kernels must gather in the same order,
+    or ARCS sums drift in their last bits."""
+    index = DeltaEntityIndex(is_bilateral=bilateral)
+    schemes = ("ARCS", "CBS", "ECBS", "JS", "X2")
+    weightings = [
+        VectorizedEdgeWeighting._from_shared_index(index, scheme)
+        for scheme in schemes
+    ]
+    blocks = [index.new_block() for _ in range(5)]
+
+    def join(entity: int, choices: "list[int]") -> None:
+        held = set(index.block_slice(entity).tolist())
+        memberships = sorted({blocks[c % len(blocks)] for c in choices} - held)
+        if memberships:
+            index.assign(entity, memberships)
+
+    for choices, second_side, (kind, target, extra) in script:
+        join(index.new_entity(second_side=bilateral and second_side), choices)
+        if kind == 0:
+            index.compact()
+        elif kind == 1:
+            blocks.append(index.new_block())
+        elif kind == 2:
+            index.exclude_block(blocks[target % len(blocks)])
+        elif kind <= 5:
+            join(target % index.num_entities, extra)
+    entities = np.arange(index.num_entities, dtype=np.int64)
+    for scheme, weighting in zip(schemes, weightings):
+        batch = weighting.neighborhood_batch(entities)
+        for entity in entities.tolist():
+            neighbors, counts, weights = weighting.weighted_neighborhood(
+                entity
+            )
+            segment = batch.segment(entity)
+            assert neighbors.tolist() == batch.neighbors[segment].tolist()
+            assert counts.tolist() == batch.counts[segment].tolist(), scheme
+            assert weights.tolist() == batch.weights[segment].tolist(), scheme
 
 
 # -- epoch persistence and sweeping -----------------------------------------

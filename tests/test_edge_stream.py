@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.edge_stream import (
     DEFAULT_CHUNK_SIZE,
@@ -81,6 +83,34 @@ class TestTopKSelection:
         for other, weight in zip(neighbors.tolist(), weights.tolist()):
             heap.push(weight, other)
         selected = select_topk_neighbors(weights, neighbors, k)
+        assert set(neighbors[selected].tolist()) == heap.items()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_select_topk_neighbors_property(self, data):
+        count = data.draw(st.integers(min_value=0, max_value=300))
+        grid = st.sampled_from([0.0, 0.125, 0.5, 0.75, 2.0])
+        if data.draw(st.booleans()):
+            weights = np.full(count, data.draw(grid), dtype=np.float64)
+        else:
+            weights = np.array(
+                data.draw(st.lists(grid, min_size=count, max_size=count)),
+                dtype=np.float64,
+            )
+        neighbors = np.array(
+            data.draw(st.permutations(range(count))), dtype=np.int64
+        )
+        k = data.draw(
+            st.one_of(
+                st.just(max(count - 1, 0)),
+                st.integers(min_value=0, max_value=count + 2),
+            )
+        )
+        heap: TopKHeap[int] = TopKHeap(k)
+        for other, weight in zip(neighbors.tolist(), weights.tolist()):
+            heap.push(weight, other)
+        selected = select_topk_neighbors(weights, neighbors, k)
+        assert len(set(selected.tolist())) == selected.size == min(k, count)
         assert set(neighbors[selected].tolist()) == heap.items()
 
     @pytest.mark.parametrize("k", [1, 3, 10, 64])

@@ -1,5 +1,6 @@
 """Unit and behaviour tests for Incremental Meta-blocking."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,29 @@ class TestConstruction:
             _resolver(filtering_ratio=0.0)
         with pytest.raises(ValueError):
             _resolver(max_block_size=1)
+
+    @pytest.mark.parametrize(
+        "k", [2.5, 2.0, True, float("inf"), float("nan"), "2", None]
+    )
+    def test_rejects_non_integral_k(self, k):
+        # A float k used to be accepted and then broke argpartition inside
+        # add(), after the index had been mutated.
+        with pytest.raises(ValueError, match="k must be an integer"):
+            _resolver(k=k)
+
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), 6.5, "6"])
+    def test_rejects_non_integral_max_block_size(self, size):
+        # NaN used to pass the `< 2` check and switch the guard off.
+        with pytest.raises(ValueError, match="max_block_size must be"):
+            _resolver(max_block_size=size)
+
+    def test_accepts_numpy_integers(self):
+        resolver = _resolver(k=np.int64(2), max_block_size=np.int32(4))
+        assert type(resolver.k) is int
+        assert type(resolver.max_block_size) is int
+        for i in range(4):
+            resolver.add(_profile(str(i), "alpha beta"))
+        assert len(resolver.query(3, k=np.int64(1))) == 1
 
     @pytest.mark.parametrize("scheme", ["ARCS", "CBS", "ECBS", "JS"])
     def test_supported_schemes(self, scheme):
@@ -726,6 +750,16 @@ class TestQueryAndStats:
             resolver.query(5)
         with pytest.raises(ValueError, match="k must be positive"):
             resolver.query(0, k=0)
+
+    @pytest.mark.parametrize("k", [2.5, True, float("inf"), "2"])
+    def test_query_rejects_non_integral_k_before_flushing(self, k):
+        resolver = _resolver(batch_size=10)
+        resolver.add(_profile("a", "alpha beta"))
+        resolver.submit(_profile("b", "alpha beta"))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            resolver.query(0, k=k)
+        assert resolver.pending == 1
+        assert len(resolver) == 1
 
     def test_query_flushes_pending_submits(self):
         resolver = _resolver(batch_size=10)
