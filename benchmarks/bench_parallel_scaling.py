@@ -1,18 +1,19 @@
-"""Parallel executor scaling — backends and speedup vs. worker count (extra).
+"""Parallel executor scaling — speedup vs. worker count (extra).
 
 The parallel node-partitioned executor promises the serial algorithms'
 exact output at a fraction of the wall clock. This bench builds a synthetic
 redundancy-positive block collection of >= 50k entities directly (no
-dataset/blocking stage — the subject here is weighting + pruning), runs the
-redefined-WNP configuration at increasing worker counts over each execution
-backend (``threads``, ``fork``, ``shm-spawn``, ``in-process``), records the
+dataset/blocking stage — the subject here is weighting + pruning) and runs
+the redefined-WNP configuration three ways: serially, on the executor's
+thread pool at 2, 4 and 8 workers, and on its in-process path with the
+same chunking as each pooled run (one worker, ``4 × workers`` chunks), so
+the thread pool's gain is separated from the chunking's. It records the
 speedup curve and the executor's per-phase timings, and asserts that every
 run retains the identical comparison set.
 
-The speedup assertions only fire on machines with enough *usable* cores
-(the affinity mask, not the host count): >= 2x for fork at 4 workers,
-shm-spawn within 1.3x of fork at 4 workers, and >= 3x for the best pooled
-backend at 8 workers. The exactness assertions always run. Scale with
+The speedup assertion only fires on machines with enough *usable* cores
+(the affinity mask, not the host count): >= 3x for the thread pool at 8
+workers on 8+ cores. The exactness assertions always run. Scale with
 ``REPRO_BENCH_SCALE`` as usual.
 """
 
@@ -22,25 +23,17 @@ import numpy as np
 
 from benchmarks._recorder import RECORDER
 from benchmarks.conftest import bench_scale
-from repro.core.parallel import (
-    ParallelMetaBlockingExecutor,
-    fork_available,
-    resolve_workers,
-    spawn_available,
-)
+from repro.core.parallel import ParallelMetaBlockingExecutor, resolve_workers
 from repro.core.pruning import RedefinedWeightedNodePruning
 from repro.core.vectorized import VectorizedEdgeWeighting
 from repro.datamodel.blocks import Block, BlockCollection
-from repro.utils.shm import list_segments
 from repro.utils.timer import Timer
 
 NUM_ENTITIES = 50_000
 BLOCKS_PER_ENTITY = 4
 BLOCK_SIZE = 10
 WORKER_COUNTS = (2, 4, 8)
-SPEEDUP_FLOOR = 2.0  # required of fork at 4 workers when the hardware has them
-SHM_RATIO_CEILING = 1.3  # shm-spawn wall clock vs fork at 4 workers
-BEST_SPEEDUP_FLOOR = 3.0  # best pooled backend at 8 workers, 8+ usable cores
+BEST_SPEEDUP_FLOOR = 3.0  # threads at 8 workers, 8+ usable cores
 
 
 def synthetic_collection(
@@ -61,16 +54,6 @@ def synthetic_collection(
     return BlockCollection(blocks, num_entities).sorted_by_cardinality()
 
 
-def available_backends() -> tuple[str, ...]:
-    legs = ["threads"]
-    if fork_available():
-        legs.append("fork")
-    if spawn_available():
-        legs.append("shm-spawn")
-    legs.append("in-process")
-    return tuple(legs)
-
-
 def test_parallel_scaling(benchmark):
     blocks = synthetic_collection(
         max(1000, int(NUM_ENTITIES * bench_scale())),
@@ -78,36 +61,38 @@ def test_parallel_scaling(benchmark):
         BLOCK_SIZE,
     )
     algorithm = RedefinedWeightedNodePruning()
-    backends = available_backends()
+    legs = [
+        (backend, workers)
+        for backend in ("threads", "in-process")
+        for workers in WORKER_COUNTS
+    ]
     timings: dict[tuple[str, int], float] = {}
     phases: dict[tuple[str, int], dict] = {}
     outputs: dict[tuple[str, int], list] = {}
-    segments_before = list_segments()
 
     def run_all():
         with Timer() as timer:
             serial = algorithm.prune(VectorizedEdgeWeighting(blocks, "JS"))
         timings[("serial", 1)] = timer.elapsed
         outputs[("serial", 1)] = serial.pairs
-        for backend in backends:
-            for workers in WORKER_COUNTS:
-                weighting = VectorizedEdgeWeighting(blocks, "JS")
-                executor = ParallelMetaBlockingExecutor(
-                    weighting, workers=workers, backend=backend
-                )
-                try:
-                    with Timer() as timer:
-                        comparisons = executor.prune(algorithm)
-                finally:
-                    # Unlinks the shared-memory segments even when a leg
-                    # fails mid-run.
-                    executor.close()
-                timings[(backend, workers)] = timer.elapsed
-                phases[(backend, workers)] = {
-                    phase: round(seconds, 3)
-                    for phase, seconds in executor.timings.items()
-                }
-                outputs[(backend, workers)] = comparisons.pairs
+        for backend, workers in legs:
+            executor = ParallelMetaBlockingExecutor(
+                VectorizedEdgeWeighting(blocks, "JS"),
+                workers=workers if backend == "threads" else 1,
+                chunks=4 * workers,
+            )
+            assert executor.backend == backend
+            try:
+                with Timer() as timer:
+                    comparisons = executor.prune(algorithm)
+            finally:
+                executor.close()
+            timings[(backend, workers)] = timer.elapsed
+            phases[(backend, workers)] = {
+                phase: round(seconds, 3)
+                for phase, seconds in executor.timings.items()
+            }
+            outputs[(backend, workers)] = comparisons.pairs
         return timings
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -121,7 +106,8 @@ def test_parallel_scaling(benchmark):
                 "|E|": blocks.num_entities,
                 "||B||": blocks.cardinality,
                 "backend": backend,
-                "workers": workers,
+                "workers": workers if backend == "threads" else 1,
+                "chunks": 4 * workers if backend != "serial" else 1,
                 "seconds": round(seconds, 3),
                 "speedup": round(serial_seconds / max(seconds, 1e-9), 2),
                 "||B'||": len(outputs[(backend, workers)]),
@@ -132,34 +118,15 @@ def test_parallel_scaling(benchmark):
                 ),
             },
         )
-        # Exactness: every backend and worker count retains the identical
-        # comparison set.
+        # Exactness: every leg retains the identical comparison set.
         assert sorted(outputs[(backend, workers)]) == serial_pairs, (
             backend,
             workers,
         )
 
-    # No leg may leave a shared-memory segment behind.
-    leaked = list_segments() - segments_before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-
-    cores = resolve_workers(0)
-    if cores >= 8:
-        pooled = [b for b in backends if b != "in-process"]
-        best_backend = min(pooled, key=lambda b: timings[(b, 8)])
-        speedup = serial_seconds / max(timings[(best_backend, 8)], 1e-9)
+    if resolve_workers(0) >= 8:
+        speedup = serial_seconds / max(timings[("threads", 8)], 1e-9)
         assert speedup >= BEST_SPEEDUP_FLOOR, (
-            f"expected >= {BEST_SPEEDUP_FLOOR}x at 8 workers on the best "
-            f"pooled backend, got {speedup:.2f}x on {best_backend}"
-        )
-    if cores >= 4 and fork_available():
-        speedup = serial_seconds / max(timings[("fork", 4)], 1e-9)
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"expected >= {SPEEDUP_FLOOR}x at 4 workers, got {speedup:.2f}x"
-        )
-    if cores >= 4 and fork_available() and spawn_available():
-        ratio = timings[("shm-spawn", 4)] / max(timings[("fork", 4)], 1e-9)
-        assert ratio <= SHM_RATIO_CEILING, (
-            f"shm-spawn should stay within {SHM_RATIO_CEILING}x of fork at "
-            f"4 workers, got {ratio:.2f}x"
+            f"expected >= {BEST_SPEEDUP_FLOOR}x at 8 workers on the thread "
+            f"pool, got {speedup:.2f}x"
         )

@@ -39,12 +39,10 @@ def main() -> None:
     )
     print(f"meta-blocked: {report}")
 
-    # The pruning stage also fans out across worker processes. On platforms
-    # without fork the executor publishes the Entity Index into a named
-    # shared-memory segment instead ("shm-spawn" backend); either way
-    # meta_block unlinks the segments in a try/finally, even when a worker
-    # dies mid-run, and the retained comparisons are identical to serial.
-    # All execution knobs live on one ExecutionConfig.
+    # The pruning stage also fans out across a thread pool: every thread
+    # reads the same Entity Index arrays, nothing is copied, and the
+    # retained comparisons are identical to serial. All execution knobs
+    # live on one ExecutionConfig.
     parallel = meta_block(
         blocks,
         scheme="ECBS",

@@ -28,7 +28,7 @@ from repro.blockprocessing.delta_index import (
     save_epoch,
     sweep_stale_epochs,
 )
-from repro.blockprocessing.entity_index import EntityIndex, SharedEntityIndex
+from repro.blockprocessing.entity_index import EntityIndex
 from repro.blockprocessing.iterative_blocking import (
     IterativeBlocking,
     IterativeBlockingResult,
@@ -44,7 +44,6 @@ __all__ = [
     "EntityIndex",
     "IterativeBlocking",
     "IterativeBlockingResult",
-    "SharedEntityIndex",
     "epoch_number",
     "latest_epoch",
     "load_epoch",

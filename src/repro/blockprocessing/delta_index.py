@@ -6,8 +6,8 @@ incremental``) needs the same index to absorb upserts — new entities, new
 blocking keys, new block members — without an O(collection) rebuild per
 insert. :class:`DeltaEntityIndex` provides that:
 
-* an immutable **base**: a regular :class:`EntityIndex` (or its
-  shared-memory form), possibly ``None`` when starting empty;
+* an immutable **base**: a regular :class:`EntityIndex`, possibly
+  ``None`` when starting empty;
 * **append-only deltas**: per-block member append lists and per-entity
   block-id sets, plus incrementally maintained statistic arrays
   (``block_counts``, ``inverse_cardinality_array``, sizes, side mask) that
@@ -25,8 +25,8 @@ insert. :class:`DeltaEntityIndex` provides that:
 * **epoch-based compaction**: :meth:`compact` merges the deltas into a
   fresh CSR via :meth:`EntityIndex.from_csr` — bit-identical to
   ``EntityIndex.from_blocks`` on the equivalent collection — and swaps it
-  in as the new base, optionally publishing it to shared memory and/or
-  persisting the member arrays to an ``epoch-NNNNNN`` directory.
+  in as the new base, optionally persisting the member arrays to an
+  ``epoch-NNNNNN`` directory.
 
 Every mutation bumps :attr:`epoch`; epoch-aware consumers (the weighting
 backends) compare it against their cached value and refresh stale memos.
@@ -45,13 +45,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.blockprocessing.entity_index import (
-    EntityIndex,
-    SharedEntityIndex,
-    multi_range_gather,
-)
+from repro.blockprocessing.entity_index import EntityIndex, multi_range_gather
 from repro.datamodel.blocks import Block, BlockCollection
-from repro.utils.shm import pid_alive
+from repro.datamodel.sinks import pid_alive
 
 EPOCH_PREFIX = "epoch-"
 _MANIFEST_NAME = "index.json"
@@ -77,15 +73,14 @@ class DeltaEntityIndex:
     Parameters
     ----------
     base:
-        An immutable :class:`EntityIndex` or :class:`SharedEntityIndex` to
-        layer deltas over, or ``None`` to start from an empty collection.
+        An immutable :class:`EntityIndex` to layer deltas over, or ``None``
+        to start from an empty collection.
     is_bilateral:
         Whether the collection is Clean-Clean (two sources). Ignored when
         ``base`` is given (the base decides). Fixed for the index lifetime.
     keys:
         Optional blocking keys for the base's blocks (needed when the base
-        came from shared memory or ``from_csr`` and carries no Block
-        objects). Defaults to the base collection's keys, or synthesised
+        came from ``from_csr`` and carries no Block objects). Defaults to the base collection's keys, or synthesised
         ``block-N`` placeholders.
     second_side:
         Entity ids to flag as second-side, *in addition to* what the
@@ -100,7 +95,7 @@ class DeltaEntityIndex:
 
     def __init__(
         self,
-        base: EntityIndex | SharedEntityIndex | None = None,
+        base: EntityIndex | None = None,
         *,
         is_bilateral: bool = False,
         keys: list[str] | None = None,
@@ -717,11 +712,10 @@ class DeltaEntityIndex:
     def compact(
         self,
         *,
-        shared: bool = False,
         persist_dir: "str | os.PathLike[str] | None" = None,
         state: "dict | None" = None,
         fsync: bool = False,
-    ) -> EntityIndex | SharedEntityIndex:
+    ) -> EntityIndex:
         """Merge the deltas into a fresh CSR base and swap it in.
 
         The merged member arrays list, per block, the base run followed by
@@ -731,10 +725,7 @@ class DeltaEntityIndex:
         ``EntityIndex.from_blocks(self.to_block_collection())``. Block ids
         and the exclusion mask are preserved.
 
-        With ``shared=True`` the fresh CSR is published straight into a
-        :class:`~repro.utils.shm.SharedArrayPack` and the shared view
-        becomes the new base (caller owns the segment). With
-        ``persist_dir`` the member arrays are also written to an
+        With ``persist_dir`` the member arrays are also written to an
         ``epoch-NNNNNN`` directory (atomic tmp + rename); ``state``
         rides along as the epoch's ``state.json`` sidecar (the WAL
         recovery anchor — see :mod:`repro.core.wal`) and ``fsync``
@@ -763,10 +754,7 @@ class DeltaEntityIndex:
                 state=state,
                 fsync=fsync,
             )
-        base: EntityIndex | SharedEntityIndex = fresh
-        if shared:
-            base = fresh.to_shared()
-        self._base = base
+        self._base = fresh
         self._delta_members1 = {}
         self._delta_members2 = {}
         self._delta_blocks_of = {}
@@ -776,7 +764,7 @@ class DeltaEntityIndex:
         self._delta_entity_ids = _EMPTY_I64
         self._delta_block_ids = _EMPTY_I64
         self._delta_assignments = 0
-        return base
+        return fresh
 
     def to_block_collection(self) -> BlockCollection:
         """Materialise the current state as a plain :class:`BlockCollection`.
@@ -901,7 +889,7 @@ def _fsync_path(path: "str | os.PathLike[str]") -> None:
 
 
 def save_epoch(
-    index: EntityIndex | SharedEntityIndex,
+    index: EntityIndex,
     directory: "str | os.PathLike[str]",
     epoch: int,
     keys: list[str] | None = None,

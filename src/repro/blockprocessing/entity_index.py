@@ -26,12 +26,9 @@ over the CSR kept for the scalar backends and existing callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.datamodel.blocks import BlockCollection
-from repro.utils.shm import SharedArrayPack, SharedPackSpec
 
 
 def multi_range_gather(
@@ -325,10 +322,6 @@ class EntityIndex:
         """``|B|`` — number of blocks in the indexed collection."""
         return self.member_indptr1.size - 1
 
-    def to_shared(self) -> "SharedEntityIndex":
-        """Publish this index's CSR arrays into shared memory (owner side)."""
-        return SharedEntityIndex.publish(self)
-
     @property
     def _block_lists(self) -> list[list[int]]:
         """List-of-lists view of the entity → blocks CSR (built on demand)."""
@@ -451,164 +444,3 @@ class EntityIndex:
         first block of the processing order that contains both.
         """
         return self.least_common_block(left, right) == block_position
-
-
-@dataclass(frozen=True)
-class SharedIndexSpec:
-    """Picklable handle to a published :class:`SharedEntityIndex`."""
-
-    pack: SharedPackSpec
-    is_bilateral: bool
-
-
-class SharedEntityIndex:
-    """An Entity Index whose CSR arrays live in a named shared-memory segment.
-
-    :meth:`publish` copies an :class:`EntityIndex`'s nine CSR/statistic
-    arrays into one ``multiprocessing.shared_memory`` segment (for
-    unilateral collections the side-2 member arrays alias side 1 and are
-    not duplicated); the picklable :attr:`spec` then lets spawn workers
-    :meth:`attach` zero-copy ``np.ndarray`` views over the same pages.
-
-    Both sides expose the Entity Index API surface the weighting backends
-    consume (``block_list``/``block_slice``/``cooccurring``/
-    ``placed_entities``/``in_second_collection`` plus the raw arrays), so a
-    backend can be reconstructed around an attached index with
-    ``EdgeWeighting._from_shared_index`` — without the block collection,
-    which never crosses the process boundary. List-returning accessors
-    return array views instead of Python lists; all consumers iterate or
-    index them identically.
-
-    The publishing process owns the segment: call :meth:`destroy` (or use
-    the index as a context manager) to unlink it. Attached instances only
-    :meth:`close` their mapping and are resource-tracker safe.
-    """
-
-    #: Shared indexes are immutable snapshots; see :attr:`EntityIndex.epoch`.
-    epoch = 0
-
-    _ARRAY_KEYS = (
-        "indptr",
-        "block_indices",
-        "block_counts",
-        "member_indptr1",
-        "members1",
-        "inverse_cardinality_array",
-        "second_side_mask",
-    )
-
-    def __init__(self, pack: SharedArrayPack, is_bilateral: bool) -> None:
-        self._pack = pack
-        arrays = pack.arrays
-        self.is_bilateral = is_bilateral
-        self.indptr = arrays["indptr"]
-        self.block_indices = arrays["block_indices"]
-        self.block_counts = arrays["block_counts"]
-        self.member_indptr1 = arrays["member_indptr1"]
-        self.members1 = arrays["members1"]
-        self.inverse_cardinality_array = arrays["inverse_cardinality_array"]
-        self.second_side_mask = arrays["second_side_mask"]
-        if is_bilateral:
-            self.member_indptr2 = arrays["member_indptr2"]
-            self.members2 = arrays["members2"]
-        else:
-            self.member_indptr2 = self.member_indptr1
-            self.members2 = self.members1
-        self.num_entities = self.indptr.size - 1
-        self._cooccurrence_lengths: np.ndarray | None = None
-        #: No Block objects on this side of the boundary; every consumer of
-        #: a shared index works through the CSR arrays alone.
-        self.blocks = None
-
-    def __repr__(self) -> str:
-        role = "owner" if self._pack.owner else "attached"
-        return (
-            f"SharedEntityIndex(|B|={self.num_blocks}, "
-            f"|E|={self.num_entities}, {role}:{self._pack.spec.name})"
-        )
-
-    # -- publish / attach ----------------------------------------------------
-
-    @classmethod
-    def publish(cls, index: EntityIndex) -> "SharedEntityIndex":
-        """Copy ``index``'s arrays into a fresh shared segment (owner side)."""
-        arrays = {key: getattr(index, key) for key in cls._ARRAY_KEYS}
-        if index.is_bilateral:
-            arrays["member_indptr2"] = index.member_indptr2
-            arrays["members2"] = index.members2
-        return cls(SharedArrayPack.publish(arrays), index.is_bilateral)
-
-    @property
-    def spec(self) -> SharedIndexSpec:
-        return SharedIndexSpec(self._pack.spec, self.is_bilateral)
-
-    @classmethod
-    def attach(cls, spec: SharedIndexSpec) -> "SharedEntityIndex":
-        """Map a published index zero-copy (worker side)."""
-        return cls(SharedArrayPack.attach(spec.pack), spec.is_bilateral)
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Drop the local mapping (both sides; idempotent)."""
-        self._pack.close()
-
-    def destroy(self) -> None:
-        """Owner-side teardown: unlink the segment, then drop the mapping."""
-        self._pack.destroy()
-
-    def __enter__(self) -> "SharedEntityIndex":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.destroy() if self._pack.owner else self.close()
-
-    # -- EntityIndex API surface ---------------------------------------------
-
-    @property
-    def num_blocks(self) -> int:
-        return self.member_indptr1.size - 1
-
-    @property
-    def inverse_cardinalities(self) -> np.ndarray:
-        """Scalar-indexable view (the list accessor's shared counterpart)."""
-        return self.inverse_cardinality_array
-
-    def in_second_collection(self, entity: int) -> bool:
-        return bool(self.second_side_mask[entity])
-
-    def cooccurring(self, entity: int, block_position: int) -> np.ndarray:
-        """CSR-native :meth:`EntityIndex.cooccurring` (same members, order)."""
-        if self.is_bilateral and self.second_side_mask[entity]:
-            indptr, members = self.member_indptr1, self.members1
-        else:
-            indptr, members = self.member_indptr2, self.members2
-        return members[indptr[block_position] : indptr[block_position + 1]]
-
-    def cooccurrence_arrays(self, entity: int) -> tuple[np.ndarray, np.ndarray]:
-        """See :meth:`EntityIndex.cooccurrence_arrays`."""
-        return _csr_cooccurrence_arrays(self, entity)
-
-    def cooccurrence_arrays_multi(
-        self, entities: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """See :meth:`EntityIndex.cooccurrence_arrays_multi`."""
-        return _csr_cooccurrence_arrays_multi(self, entities)
-
-    def cooccurrence_lengths(self, entities: np.ndarray) -> np.ndarray:
-        """See :meth:`EntityIndex.cooccurrence_lengths`."""
-        if self._cooccurrence_lengths is None:
-            self._cooccurrence_lengths = _csr_cooccurrence_lengths(self)
-        return self._cooccurrence_lengths[np.asarray(entities, dtype=np.int64)]
-
-    def block_list(self, entity: int) -> np.ndarray:
-        return self.block_slice(entity)
-
-    def block_slice(self, entity: int) -> np.ndarray:
-        return self.block_indices[self.indptr[entity] : self.indptr[entity + 1]]
-
-    def num_blocks_of(self, entity: int) -> int:
-        return int(self.block_counts[entity])
-
-    def placed_entities(self) -> list[int]:
-        return np.flatnonzero(self.block_counts).tolist()

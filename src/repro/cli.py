@@ -32,10 +32,10 @@ Commands
     Evaluate every pruning algorithm x weighting scheme on a dataset and
     print the grid (the Section 6.4 configuration search).
 ``clean``
-    Remove stale shared-memory segments (and, with ``--spill-dir`` /
+    Remove what crashed runs left behind: with ``--spill-dir`` /
     ``--compact-dir`` / ``--wal-dir``, orphaned ``run-*`` spill
     directories, ``epoch-*`` compaction snapshots, and fully-covered or
-    half-written WAL artifacts) left behind by crashed runs.
+    half-written WAL artifacts.
 
 All commands accept Dirty or Clean-Clean JSON datasets produced by
 ``generate`` or :func:`repro.datasets.save_dataset_json`.
@@ -52,7 +52,6 @@ from pathlib import Path
 from repro.blockprocessing.block_purging import BlockPurging
 from repro.blocking import BLOCKING_METHODS
 from repro.core.execution import ExecutionConfig
-from repro.core.parallel import PARALLEL_BACKENDS
 from repro.core.pipeline import meta_block, resume_run
 from repro.core.pruning import PRUNING_ALGORITHMS
 from repro.core.wal import FSYNC_POLICIES
@@ -131,11 +130,6 @@ def cmd_metablock(args: argparse.Namespace) -> int:
     else:
         execution = ExecutionConfig(
             parallel=args.workers,
-            parallel_backend=(
-                None
-                if args.parallel_backend == "auto"
-                else args.parallel_backend
-            ),
             chunk_size=args.chunk_size,
             spill_dir=args.spill_dir,
             memory_budget=args.memory_budget,
@@ -173,8 +167,7 @@ def cmd_metablock(args: argparse.Namespace) -> int:
     ):
         degraded = "".join(f", degraded to {b}" for b in stats["degraded"])
         print(f"faults:    {stats['retries']} retries "
-              f"({stats['worker_crashes']} worker crashes, "
-              f"{stats['chunk_timeouts']} timeouts), "
+              f"({stats['chunk_timeouts']} timeouts), "
               f"{stats['resumed_chunks']} chunks resumed{degraded}")
     timings = result.phase_timings
     if timings and any(timings.values()):
@@ -223,12 +216,8 @@ def cmd_clean(args: argparse.Namespace) -> int:
     from repro.blockprocessing.delta_index import sweep_stale_epochs
     from repro.core.wal import sweep_stale_wal
     from repro.datamodel.sinks import sweep_stale_runs
-    from repro.utils.shm import sweep_stale_segments
 
     verb = "would remove" if args.dry_run else "removed"
-    segments = sweep_stale_segments(dry_run=args.dry_run)
-    for name in segments:
-        print(f"{verb} shared-memory segment {name}")
     runs = []
     if args.spill_dir:
         runs = sweep_stale_runs(args.spill_dir, dry_run=args.dry_run)
@@ -244,7 +233,7 @@ def cmd_clean(args: argparse.Namespace) -> int:
         wal_items = sweep_stale_wal(args.wal_dir, dry_run=args.dry_run)
         for item in wal_items:
             print(f"{verb} WAL artifact {item}")
-    if not segments and not runs and not epochs and not wal_items:
+    if not runs and not epochs and not wal_items:
         print("nothing to clean")
     return 0
 
@@ -630,18 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metablock.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for the pruning stage, valid for all "
-             "algorithms (1 = serial, 0 = one per CPU core)",
-    )
-    metablock.add_argument(
-        "--parallel-backend",
-        choices=("auto",) + PARALLEL_BACKENDS,
-        default="auto",
-        dest="parallel_backend",
-        help="execution backend for the worker pool: threads (GIL-releasing "
-             "thread pool, zero serialization), fork (copy-on-write), "
-             "shm-spawn (shared-memory segments, for spawn-only platforms) "
-             "or in-process; auto picks the best available",
+        help="threads for the pruning stage, valid for all algorithms "
+             "(1 = serial, 0 = one per usable CPU core)",
     )
     metablock.add_argument(
         "--chunk-size", type=_chunk_size, default="auto", dest="chunk_size",
@@ -664,12 +643,13 @@ def build_parser() -> argparse.ArgumentParser:
     metablock.add_argument(
         "--max-retries", type=int, default=None, dest="max_retries",
         help="per-chunk retry budget before the parallel executor degrades "
-             "to a simpler backend (default 2)",
+             "from the thread pool to in-process (default 2)",
     )
     metablock.add_argument(
         "--chunk-timeout", type=float, default=None, dest="chunk_timeout",
-        help="seconds a parallel chunk may run before the supervisor "
-             "retries it (default: no timeout)",
+        help="seconds the supervisor waits on a parallel chunk before "
+             "retrying it (default: no timeout); a timed-out thread still "
+             "runs to completion",
     )
     metablock.add_argument(
         "--resume", default=None, metavar="RUN_DIR",
@@ -884,22 +864,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     clean = commands.add_parser(
         "clean",
-        help="remove stale shared-memory segments and orphaned spill runs",
+        help="remove orphaned spill runs, compaction and WAL artifacts",
     )
     clean.add_argument(
         "--spill-dir", default=None, dest="spill_dir",
-        help="also sweep orphaned run-* directories (no manifest, owner "
+        help="sweep orphaned run-* directories (no manifest, owner "
              "process gone) under this spill directory",
     )
     clean.add_argument(
         "--compact-dir", default=None, dest="compact_dir",
-        help="also sweep orphaned compaction artifacts (partial epoch "
+        help="sweep orphaned compaction artifacts (partial epoch "
              "temp directories with a dead owner, epoch directories "
              "missing their manifest) under this directory",
     )
     clean.add_argument(
         "--wal-dir", default=None, dest="wal_dir",
-        help="also sweep fully-covered WAL segments (every record already "
+        help="sweep fully-covered WAL segments (every record already "
              "in the latest snapshot) and half-written snapshot temp "
              "directories under this WAL directory",
     )

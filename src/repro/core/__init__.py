@@ -30,7 +30,6 @@ from repro.core.faults import (
     InjectedWalTear,
     RetriesExhausted,
     SpillCorrupted,
-    WorkerCrashed,
     clear_faults,
     fire_wal_fault,
     injected_faults,
@@ -46,7 +45,6 @@ from repro.core.parallel import (
     PARALLEL_ALGORITHMS,
     ParallelMetaBlockingExecutor,
     ParallelNodeCentricExecutor,
-    fork_available,
     parallel_prune,
     supports_parallel,
 )
@@ -116,7 +114,6 @@ __all__ = [
     "SpillCorrupted",
     "WalBroken",
     "WalError",
-    "WorkerCrashed",
     "WriteAheadLog",
     "GraphFreeMetaBlocking",
     "MaterializedBlockingGraph",
@@ -128,7 +125,6 @@ __all__ = [
     "ParallelMetaBlockingExecutor",
     "ParallelNodeCentricExecutor",
     "PruningAlgorithm",
-    "fork_available",
     "parallel_prune",
     "supports_parallel",
     "VectorizedEdgeWeighting",

@@ -95,17 +95,17 @@ class EdgeWeighting(ABC):
     def _from_shared_index(
         cls, index: EntityIndex, scheme: "str | WeightingScheme"
     ) -> "EdgeWeighting":
-        """Reconstruct a backend around an already-built (typically
-        shared-memory attached) Entity Index, without a block collection.
+        """Reconstruct a backend around an already-built Entity Index,
+        without a block collection.
 
-        This is the spawn-worker construction path of the parallel
-        executor: ``index`` is a
-        :class:`~repro.blockprocessing.entity_index.SharedEntityIndex`
-        view over the parent's CSR arrays, and everything the worker tasks
+        This is how the parallel executor gives each pool thread its own
+        clone (and how the incremental resolver weights over its live
+        :class:`~repro.blockprocessing.delta_index.DeltaEntityIndex`):
+        ``index`` is read, never copied, and everything the chunk tasks
         touch (neighbourhood scans, emitted-edge streams, degree counts)
-        runs off those arrays alone. ``blocks`` is intentionally absent —
+        runs off its arrays alone. ``blocks`` is intentionally absent —
         threshold resolution and edge-centric full iteration stay on the
-        parent side.
+        owner side.
         """
         self = cls.__new__(cls)
         self.blocks = None  # type: ignore[assignment]

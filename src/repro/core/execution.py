@@ -2,7 +2,7 @@
 
 Historically every execution knob was its own keyword argument threaded
 through :func:`~repro.core.pipeline.meta_block`, the workflow and the CLI —
-``parallel``, ``parallel_backend``, ``chunks``, ``chunk_size`` — and the
+``parallel``, ``chunks``, ``chunk_size`` — and the
 out-of-core work added two more (``spill_dir``, ``memory_budget``).
 :class:`ExecutionConfig` collapses the sprawl into one value object: *what*
 to compute stays in the pipeline signature (blocks, scheme, algorithm),
@@ -22,7 +22,6 @@ import os
 import warnings
 from dataclasses import dataclass, fields, replace
 
-from repro.core.parallel import PARALLEL_BACKENDS
 from repro.core.wal import FSYNC_POLICIES
 from repro.datamodel.sinks import ComparisonSink, InMemorySink, SpillSink
 
@@ -60,11 +59,8 @@ class ExecutionConfig:
     Parameters
     ----------
     parallel:
-        Worker-process count for the pruning stage; ``None``/``1`` runs
-        serially, ``0`` uses one worker per CPU core.
-    parallel_backend:
-        Pool backend — ``None``/``"auto"`` picks the best available, or one
-        of :data:`~repro.core.parallel.PARALLEL_BACKENDS`.
+        Thread count for the pruning stage; ``None``/``1`` runs serially,
+        ``0`` uses one thread per usable CPU core.
     chunks:
         Contiguous node partitions for the parallel executor (default
         ``4 × workers``).
@@ -86,14 +82,17 @@ class ExecutionConfig:
         RAM. Implies spilling (to ``spill_dir`` when also set, else to a
         private temporary directory) and sizes the shards accordingly.
     max_retries:
-        How many times the parallel executor re-runs a failed chunk (worker
-        death, chunk timeout) before degrading the backend — and, once
+        How many times the parallel executor re-runs a timed-out chunk
+        before degrading from the thread pool to in-process — and, once
         in-process, raising
         :class:`~repro.core.faults.RetriesExhausted`. ``None`` uses the
         executor default (2).
     chunk_timeout:
-        Seconds a single chunk may run before the supervisor counts it as
-        failed and retries it; ``None`` (default) never times chunks out.
+        Seconds the supervisor waits on a single chunk before counting it
+        as failed and retrying it; ``None`` (default) never times chunks
+        out. A pool thread cannot be stopped, so the timed-out copy still
+        runs to completion: the timeout decides when the retry starts, not
+        how long the run takes.
     backoff:
         Base of the exponential retry backoff — the supervisor sleeps
         ``backoff * 2**(attempt-1)`` seconds before re-running a failed
@@ -138,7 +137,6 @@ class ExecutionConfig:
     """
 
     parallel: int | None = None
-    parallel_backend: str | None = None
     chunks: int | None = None
     chunk_size: "int | str | None" = "auto"
     spill_dir: "str | os.PathLike[str] | None" = None
@@ -154,14 +152,6 @@ class ExecutionConfig:
     fsync_policy: str | None = None
 
     def __post_init__(self) -> None:
-        if self.parallel_backend is not None and self.parallel_backend not in (
-            ("auto",) + PARALLEL_BACKENDS
-        ):
-            known = ", ".join(("auto",) + PARALLEL_BACKENDS)
-            raise ValueError(
-                f"unknown parallel backend {self.parallel_backend!r}; "
-                f"known: {known}"
-            )
         _require_int("parallel", self.parallel, minimum=0)
         _require_int("chunks", self.chunks, minimum=1)
         if isinstance(self.chunk_size, str):
@@ -220,7 +210,6 @@ class ExecutionConfig:
         """JSON-serialisable form (paths become strings)."""
         return {
             "parallel": self.parallel,
-            "parallel_backend": self.parallel_backend,
             "chunks": self.chunks,
             "chunk_size": self.chunk_size,
             "spill_dir": None if self.spill_dir is None else str(self.spill_dir),
@@ -243,13 +232,18 @@ class ExecutionConfig:
     @classmethod
     def from_dict(cls, config: dict) -> "ExecutionConfig":
         """Build a config from a :meth:`to_dict` dictionary (extra keys
-        ignored, missing keys defaulted)."""
+        ignored, missing keys defaulted).
+
+        Ignoring extra keys keeps older spill checkpoints and workflow
+        configs loading, e.g. those that still carry the removed
+        ``parallel_backend`` field.
+        """
         known = {field.name for field in fields(cls)}
         return cls(**{key: config[key] for key in known if key in config})
 
 
 #: The per-knob keyword arguments superseded by :class:`ExecutionConfig`.
-DEPRECATED_EXECUTION_KWARGS = ("parallel", "parallel_backend", "chunks", "chunk_size")
+DEPRECATED_EXECUTION_KWARGS = ("parallel", "chunks", "chunk_size")
 
 #: The release in which the deprecated per-knob keyword arguments become a
 #: :class:`TypeError`. The policy (documented in ``docs/api.md``) is
@@ -264,7 +258,6 @@ def resolve_execution(
     execution: "ExecutionConfig | None" = None,
     *,
     parallel: int | None = None,
-    parallel_backend: str | None = None,
     chunks: int | None = None,
     chunk_size: "int | str | None" = None,
     stacklevel: int = 3,
@@ -278,7 +271,6 @@ def resolve_execution(
     """
     legacy = {
         "parallel": parallel,
-        "parallel_backend": parallel_backend,
         "chunks": chunks,
         "chunk_size": chunk_size,
     }

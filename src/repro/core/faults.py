@@ -4,22 +4,21 @@ The fault-tolerance layer of the parallel executor needs two things this
 module provides:
 
 * a small exception taxonomy distinguishing *retryable* infrastructure
-  failures (a worker process died, a chunk exceeded its timeout, a spill
-  shard failed validation) from deterministic task errors, plus the
-  terminal :class:`RetriesExhausted`;
+  failures (a chunk exceeded its timeout, a spill shard failed
+  validation) from deterministic task errors, plus the terminal
+  :class:`RetriesExhausted`;
 * a deterministic fault-injection harness so the retry/degrade/resume
   machinery can be tested end to end: a :class:`FaultPlan` describes
-  *when* to kill a worker, delay a chunk past its timeout, or hard-exit
-  the owner mid-adoption, and the executor/sink code calls the ``fire_*``
+  *when* to delay a chunk past its timeout, fail it, or hard-exit the
+  owner mid-adoption, and the executor/sink code calls the ``fire_*``
   hooks at the matching sites.
 
-Fault plans propagate to worker processes through the :data:`FAULTS_ENV`
-environment variable (inherited by ``fork`` children and by ``spawn``
-children alike, since ``os.environ`` travels with the interpreter
-bootstrap), so a single :func:`install_faults` call in a test drives every
-process of the run. Firing is keyed on the *attempt number* of a chunk:
-a fault with ``attempts=1`` fires on the first attempt only, so the retry
-is deterministic — no shared mutable state between processes is needed.
+Fault plans are mirrored into the :data:`FAULTS_ENV` environment variable,
+so a child process started with that environment (the crash-and-resume
+tests run the interrupted half in one) inherits the plan without calling
+:func:`install_faults` itself. Firing is keyed on the *attempt number* of
+a chunk: a fault with ``attempts=1`` fires on the first attempt only, so
+the retry is deterministic — no shared mutable state is needed.
 
 This module is an import leaf (stdlib only) so both
 :mod:`repro.datamodel.sinks` and :mod:`repro.core.parallel` can depend on
@@ -42,14 +41,6 @@ FAULTS_ENV = "REPRO_FAULTS"
 
 class FaultToleranceError(RuntimeError):
     """Base of the executor's structured failure taxonomy."""
-
-
-class WorkerCrashed(FaultToleranceError):
-    """A pool worker died mid-chunk (``BrokenProcessPool``, kill, OOM).
-
-    Retryable: the supervisor re-executes the affected chunks on a fresh
-    pool, degrading to a simpler backend once the retry budget is spent.
-    """
 
 
 class ChunkTimeout(FaultToleranceError):
@@ -75,7 +66,7 @@ class RetriesExhausted(FaultToleranceError):
 
 
 #: Failures the supervisor retries; anything else propagates immediately.
-RETRYABLE_FAILURES = (WorkerCrashed, ChunkTimeout)
+RETRYABLE_FAILURES = (ChunkTimeout,)
 
 
 class InjectedFault(RuntimeError):
@@ -96,7 +87,7 @@ class InjectedWalTear(InjectedFault):
 FAULT_SITES = ("chunk", "adopt", "wal")
 
 #: Operations a fault can perform at its site.
-FAULT_OPS = ("kill", "delay", "error", "exit", "torn_wal_tail", "fsync_error")
+FAULT_OPS = ("delay", "error", "exit", "torn_wal_tail", "fsync_error")
 
 
 @dataclass(frozen=True)
@@ -106,20 +97,20 @@ class Fault:
     Parameters
     ----------
     site:
-        ``"chunk"`` fires inside chunk execution (worker-side under a pool,
-        owner-side on the in-process backend); ``"adopt"`` fires owner-side
+        ``"chunk"`` fires inside chunk execution (on a pool thread, or in
+        the owner on the in-process backend); ``"adopt"`` fires owner-side
         after a chunk shard has been adopted and checkpointed.
     op:
-        ``"kill"`` hard-exits the worker process (simulated as a raised
-        :class:`WorkerCrashed` when running in-process), ``"delay"`` sleeps
-        ``seconds`` inside the chunk (simulated as a raised
-        :class:`ChunkTimeout` in-process), ``"error"`` raises a
-        deterministic :class:`InjectedFault`, and ``"exit"`` (adopt site)
-        hard-exits the owner process mid-run. ``"torn_wal_tail"`` (wal
-        site) makes the write-ahead log flush half of the framed record
-        then fail the append, and ``"fsync_error"`` (wal site) raises an
-        :class:`OSError` from the fsync path — both poison the log so no
-        later batch can be acknowledged.
+        ``"delay"`` sleeps ``seconds`` inside the chunk on a pool thread
+        (simulated as a raised :class:`ChunkTimeout` in-process) and lets
+        later matching faults fire on the stalled chunk, ``"error"``
+        raises a deterministic :class:`InjectedFault`, and ``"exit"``
+        (adopt site) hard-exits the owner process mid-run.
+        ``"torn_wal_tail"`` (wal site) makes the write-ahead log flush
+        half of the framed record then fail the append, and
+        ``"fsync_error"`` (wal site) raises an :class:`OSError` from the
+        fsync path — both poison the log so no later batch can be
+        acknowledged.
     chunk:
         Chunk index the fault applies to; ``None`` matches every chunk.
         At the ``wal`` site this is the *record sequence number* instead,
@@ -139,7 +130,7 @@ class Fault:
     """
 
     site: str = "chunk"
-    op: str = "kill"
+    op: str = "delay"
     chunk: "int | None" = None
     task: "str | None" = None
     attempts: int = 1
@@ -185,8 +176,8 @@ def install_faults(plan: "FaultPlan | None") -> None:
     """Activate a fault plan for this process *and its future children*.
 
     The plan is kept in a module global (fast path) and mirrored into the
-    :data:`FAULTS_ENV` environment variable so fork and spawn workers pick
-    it up too. Passing ``None`` clears both.
+    :data:`FAULTS_ENV` environment variable so child processes pick it up
+    too. Passing ``None`` clears both.
     """
     global _ACTIVE
     _ACTIVE = plan
@@ -204,7 +195,7 @@ def clear_faults() -> None:
 def active_plan() -> "FaultPlan | None":
     """The plan in effect for this process, if any.
 
-    Worker processes that never ran :func:`install_faults` inherit the plan
+    A child process that never ran :func:`install_faults` inherits the plan
     through the environment; the parse is cached per distinct value.
     """
     if _ACTIVE is not None:
@@ -240,9 +231,11 @@ def fire_chunk_fault(
 ) -> None:
     """Hook called at the top of every chunk execution.
 
-    ``in_worker`` tells the harness whether a hard kill is possible (pool
-    worker) or must be simulated by raising the matching retryable
-    exception (in-process backend). A no-op without an active plan.
+    ``in_worker`` tells the harness whether a ``delay`` can really stall
+    the chunk (a pool thread, which the owner times out) or must be
+    simulated by raising :class:`ChunkTimeout` (the in-process backend,
+    where the owner itself runs the chunk). A no-op without an active
+    plan.
     """
     plan = active_plan()
     if plan is None:
@@ -250,17 +243,10 @@ def fire_chunk_fault(
     for fault in plan.faults:
         if not fault.matches_chunk(task, chunk, attempt):
             continue
-        if fault.op == "kill":
-            if in_worker:
-                os._exit(11)
-            raise WorkerCrashed(
-                f"injected worker kill on chunk {chunk} of {task!r} "
-                f"(attempt {attempt})"
-            )
         if fault.op == "delay":
             if in_worker:
                 time.sleep(fault.seconds)
-                return
+                continue  # a later fault may fail the stalled chunk
             raise ChunkTimeout(
                 f"injected delay on chunk {chunk} of {task!r} "
                 f"(attempt {attempt})"
@@ -319,7 +305,7 @@ def fire_wal_fault(stage: str, seq: int) -> None:
             raise InjectedFault(f"injected error at wal seq {seq} ({stage})")
 
 
-# -- corruption helpers (used by the resume tests and `repro clean`) ----------
+# -- corruption helpers (used by the resume tests) ----------------------------
 
 
 def truncate_shard(path: "str | os.PathLike[str]", keep: "int | None" = None) -> None:
@@ -329,26 +315,6 @@ def truncate_shard(path: "str | os.PathLike[str]", keep: "int | None" = None) ->
     """
     size = os.path.getsize(path)
     os.truncate(path, size // 2 if keep is None else keep)
-
-
-def leak_shm_segment(pid: "int | None" = None, size: int = 64) -> str:
-    """Create (and deliberately leak) a repro shared-memory segment.
-
-    The name embeds ``pid`` (default: a vanished pid) as the owner, so
-    :func:`repro.utils.shm.sweep_stale_segments` will classify the segment
-    as orphaned. Returns the segment name; the caller (or the sweeper) is
-    responsible for unlinking it.
-    """
-    import secrets
-    from multiprocessing import shared_memory
-
-    from repro.utils.shm import SHM_NAME_PREFIX
-
-    owner = pid if pid is not None else (1 << 22) + os.getpid() % 1000
-    name = f"{SHM_NAME_PREFIX}{owner}-0-{secrets.token_hex(2)}"
-    segment = shared_memory.SharedMemory(create=True, name=name, size=size)
-    segment.close()  # mapping dropped, name intentionally left behind
-    return name
 
 
 __all__ = [
@@ -364,7 +330,6 @@ __all__ = [
     "InjectedWalTear",
     "RetriesExhausted",
     "SpillCorrupted",
-    "WorkerCrashed",
     "active_plan",
     "clear_faults",
     "fire_adoption_fault",
@@ -372,6 +337,5 @@ __all__ = [
     "fire_wal_fault",
     "injected_faults",
     "install_faults",
-    "leak_shm_segment",
     "truncate_shard",
 ]

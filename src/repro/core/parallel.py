@@ -5,45 +5,25 @@ every node's neighbourhood is derived independently from the Entity Index,
 and the distinct-edge stream can be partitioned by its *emitting endpoint*
 (the lower id for unilateral graphs, the first-collection endpoint for
 bilateral ones). This module fans those per-node array scans across a
-worker pool, through one of four interchangeable execution backends:
+thread pool. The execution backend follows from the worker count alone:
 
-* ``"threads"`` — a :class:`~concurrent.futures.ThreadPoolExecutor` over
-  the same chunk kernels. The columnar kernels spend their time inside
-  GIL-releasing numpy ops, so chunks run truly in parallel with zero
-  serialization, zero fork/spawn cost and zero shared-memory staging; each
-  pool thread checks out its own weighting-backend clone (built around the
-  parent's Entity Index with ``EdgeWeighting._from_shared_index``) so the
-  ScanCount scratch arrays are never shared between threads.
-* ``"fork"`` — worker processes are forked, so the weighting backend — and
-  with it the Entity Index's CSR arrays — is shared copy-on-write with the
-  parent; the only pickled traffic is the ``(start, stop)`` range per task
-  and the per-chunk results.
-* ``"shm-spawn"`` — for platforms without ``fork`` (Windows, macOS
-  defaults): the CSR arrays are published once into a named
-  ``multiprocessing.shared_memory`` segment
-  (:meth:`~repro.blockprocessing.entity_index.EntityIndex.to_shared`), and
-  each spawned worker attaches zero-copy ``np.ndarray`` views and rebuilds
-  the *same* weighting backend class around them
-  (``EdgeWeighting._from_shared_index``). Per-phase criteria (top-k keys,
-  node thresholds, EJS degrees) travel through a second, short-lived
-  segment staged per map call. The spawn pool persists for the executor's
-  lifetime, so worker startup is paid once, not per phase.
+* ``"threads"`` — two or more workers on a graph of two or more nodes: a
+  :class:`~concurrent.futures.ThreadPoolExecutor` over the chunk kernels.
+  The columnar kernels spend their time inside GIL-releasing numpy ops,
+  so chunks run in parallel with no serialization and no copy of the
+  Entity Index; each pool thread checks out its own weighting-backend
+  clone (built around the parent's Entity Index with
+  ``EdgeWeighting._from_shared_index``) so the ScanCount scratch arrays
+  are never shared between threads.
 * ``"in-process"`` — the same chunked code paths run serially in the
-  parent (``workers=1``, single-node graphs, or by request).
+  parent (``workers=1``, single-node graphs, or after the thread pool kept
+  failing a chunk).
 
-The backend is picked automatically (``threads``, which every platform
-offers) and can be overridden via the ``backend`` argument —
-surfaced as ``meta_block(parallel_backend=)`` and the CLI's
-``--parallel-backend``. Falling back emits a single :class:`RuntimeWarning`
-at executor construction (never per chunk); the resolved choice is readable
-from :attr:`ParallelMetaBlockingExecutor.backend`.
-
-Segment lifecycle: the executor owns its shared segments and guarantees
-unlinking on success, worker crash and ``KeyboardInterrupt`` alike — the
-per-phase stage pack is destroyed in a ``finally`` around each map, and the
-index segment in :meth:`ParallelMetaBlockingExecutor.close` (also wired to
-context-manager exit and a ``__del__`` backstop). Workers only ever attach
-and close; they never take resource-tracker ownership.
+The resolved choice is readable from
+:attr:`ParallelMetaBlockingExecutor.backend`. Threads give no crash
+isolation: a crash in native code ends the whole run. A chunk past its
+``chunk_timeout`` cannot be stopped either, so the timeout decides when
+the chunk's retry starts, not how long the run takes.
 
 Chunk results are merged in submission order, which makes the output a
 deterministic, exact reproduction of the serial algorithms: the retained
@@ -59,7 +39,7 @@ per-node weight sums reduced to the global mean, then a parallel retention
 pass. The degree pass that dominates EJS runtime is parallelized the same
 way (:meth:`ParallelMetaBlockingExecutor.compute_degrees`).
 
-Inside the workers, every task reads its node range in chunks through the
+Inside the pool, every task reads its node range in chunks through the
 backend's bulk kernel
 (:meth:`~repro.core.edge_weighting.EdgeWeighting.neighborhood_chunks`, or
 :func:`~repro.core.edge_weighting.weight_and_prune_chunks` for the emitted
@@ -74,7 +54,7 @@ Two cross-backend optimisations ride on the same partitioning:
 * **Fused weight+prune chunks** — when no spill directory is staged, the
   two-pass families (WEP and the redefined/reciprocal node-centric
   algorithms) run their phase 1 through the fused chunk tasks
-  (:func:`~repro.core.edge_weighting.weight_and_prune_chunks`): each worker
+  (:func:`~repro.core.edge_weighting.weight_and_prune_chunks`): each task
   weights every neighbourhood in its range *once*, derives the local
   criterion from the full segments and sends the range's emitted-edge
   slice back with it. The owner merges the global criterion and applies
@@ -96,19 +76,14 @@ at each :meth:`~ParallelMetaBlockingExecutor.prune` call) and surfaced as
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue
 import time
 import warnings
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -117,13 +92,7 @@ from repro.core.faults import (
     RETRYABLE_FAILURES,
     ChunkTimeout,
     RetriesExhausted,
-    WorkerCrashed,
     fire_chunk_fault,
-)
-
-from repro.blockprocessing.entity_index import (
-    SharedEntityIndex,
-    SharedIndexSpec,
 )
 from repro.core.edge_stream import (
     EdgeBatch,
@@ -152,17 +121,16 @@ from repro.core.pruning.base import (
 )
 from repro.datamodel.blocks import ComparisonCollection
 from repro.datamodel.sinks import ComparisonSink, InMemorySink, SpillSink
-from repro.utils.shm import SharedArrayPack, SharedPackSpec
 from repro.utils.topk import TopKHeap
 
 Comparison = tuple[int, int]
 Range = tuple[int, int]
 #: A pair-producing chunk task's result: ``("pairs", sources, targets)``
-#: arrays, or ``("shard", file_name, pair_count, crc)`` when the worker
+#: arrays, or ``("shard", file_name, pair_count, crc)`` when the task
 #: wrote its pairs straight to a spill shard.
 ChunkPairs = tuple
 
-#: Default retry budget per chunk before the executor degrades its backend.
+#: Default retry budget per chunk before the executor degrades to in-process.
 DEFAULT_MAX_RETRIES = 2
 
 #: Default base (seconds) of the exponential retry backoff.
@@ -181,8 +149,8 @@ PARALLEL_ALGORITHMS = frozenset(
     {"CEP", "WEP", "CNP", "WNP", "ReCNP", "ReWNP", "RcCNP", "RcWNP"}
 )
 
-#: Execution backends the executor can resolve to (``"auto"`` picks one).
-PARALLEL_BACKENDS = ("threads", "fork", "shm-spawn", "in-process")
+#: Execution backends the executor resolves to (from the worker count).
+PARALLEL_BACKENDS = ("threads", "in-process")
 
 #: Node-range partitioning strategies (see :func:`partition_ranges_by_mass`).
 CHUNKING_STRATEGIES = ("auto", "even")
@@ -210,7 +178,6 @@ def _new_fault_stats() -> dict:
     """Zeroed supervision counters (one dict per executor)."""
     return {
         "retries": 0,
-        "worker_crashes": 0,
         "chunk_timeouts": 0,
         "resumed_chunks": 0,
         "degraded": [],
@@ -220,6 +187,16 @@ def _new_fault_stats() -> dict:
 def _new_timings() -> dict:
     """Zeroed per-phase wall-clock buckets (seconds)."""
     return {"dispatch": 0.0, "weight": 0.0, "prune": 0.0, "merge": 0.0}
+
+
+def _discard_shard(future: Future, spill_dir: "str | None") -> None:
+    """Delete the spill shard an abandoned chunk wrote; nothing adopts it."""
+    if spill_dir is None or future.cancelled() or future.exception():
+        return
+    chunk = future.result()
+    if isinstance(chunk, tuple) and isinstance(chunk[0], str):
+        if chunk[0] == "shard":
+            Path(spill_dir, chunk[1]).unlink(missing_ok=True)
 
 
 def supports_parallel(algorithm: PruningAlgorithm) -> bool:
@@ -235,23 +212,6 @@ def supports_parallel(algorithm: PruningAlgorithm) -> bool:
             RedefinedWeightedNodePruning,
         ),
     )
-
-
-def fork_available() -> bool:
-    """True iff the platform offers the ``fork`` start method.
-
-    Setting the ``REPRO_FORCE_SPAWN`` environment variable to a non-empty
-    value makes this return False, forcing the spawn-platform code paths on
-    Linux too (used by CI and the regression tests).
-    """
-    if os.environ.get("REPRO_FORCE_SPAWN"):
-        return False
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def spawn_available() -> bool:
-    """True iff the platform offers the ``spawn`` start method."""
-    return "spawn" in multiprocessing.get_all_start_methods()
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -319,145 +279,49 @@ def partition_ranges_by_mass(
     return ranges
 
 
-# -- forked worker state ------------------------------------------------------
-#
-# With the fork start method, children inherit this module-level pointer and
-# the entire object graph behind it (weighting backend, CSR arrays, phase-1
-# criteria) copy-on-write. Each phase builds its pool *after* the state is
-# staged, so the snapshot the workers see is exactly the parent's.
-
-_FORK_STATE: "ParallelMetaBlockingExecutor | None" = None
-
-
-def _dispatch(payload: tuple[str, Range, int, int]):
-    task, bounds, chunk, attempt = payload
-    assert _FORK_STATE is not None, "worker state missing (fork executor)"
-    fire_chunk_fault(task, chunk, attempt, in_worker=True)
-    return getattr(_FORK_STATE, task)(bounds)
-
-
-# -- spawned worker state -----------------------------------------------------
-#
-# With the spawn start method nothing is inherited; the pool initializer
-# attaches the published Entity Index segment and rebuilds the parent's
-# weighting backend class around the zero-copy views. Per-phase criteria
-# arrive as a ``(scalars, pack spec)`` stage attached lazily per task and
-# cached by segment name across a map call.
-
-
-class _SpawnWorkerState:
-    """Per-process state of a shm-spawn pool worker."""
-
-    __slots__ = ("shell", "pack", "pack_name")
-
-    def __init__(self, shell: "ParallelMetaBlockingExecutor") -> None:
-        self.shell = shell
-        self.pack: SharedArrayPack | None = None
-        self.pack_name: str | None = None
-
-
-_SPAWN_STATE: _SpawnWorkerState | None = None
-
-
-def _spawn_init(
-    index_spec: SharedIndexSpec,
-    weighting_class: type[EdgeWeighting],
-    scheme_name: str,
-) -> None:
-    """Pool initializer: attach the shared index, rebuild the backend."""
-    global _SPAWN_STATE
-    index = SharedEntityIndex.attach(index_spec)
-    weighting = weighting_class._from_shared_index(index, scheme_name)
-    _SPAWN_STATE = _SpawnWorkerState(
-        ParallelMetaBlockingExecutor._worker_shell(weighting)
-    )
-
-
-def _spawn_dispatch(
-    payload: tuple[str, Range, dict, SharedPackSpec | None, int, int]
-):
-    """Run one chunk task inside a spawned worker, staging criteria first."""
-    task, bounds, scalars, pack_spec, chunk, attempt = payload
-    fire_chunk_fault(task, chunk, attempt, in_worker=True)
-    state = _SPAWN_STATE
-    assert state is not None, "worker state missing (shm-spawn executor)"
-    if pack_spec is None:
-        if state.pack is not None:
-            state.pack.close()
-            state.pack, state.pack_name = None, None
-    elif state.pack_name != pack_spec.name:
-        if state.pack is not None:
-            state.pack.close()
-        state.pack = SharedArrayPack.attach(pack_spec)
-        state.pack_name = pack_spec.name
-    shell = state.shell
-    shell._k = scalars["k"]
-    shell._wep_threshold = scalars["wep_threshold"]
-    shell._conjunctive = scalars["conjunctive"]
-    shell._phase2_mode = scalars["phase2_mode"]
-    shell._spill_dir = scalars.get("spill_dir")
-    arrays = state.pack.arrays if state.pack is not None else {}
-    shell._keys = arrays.get("keys")
-    shell._threshold_array = arrays.get("thresholds")
-    degrees = arrays.get("degrees")
-    if degrees is not None:
-        weighting = shell.weighting
-        weighting._degrees = degrees  # type: ignore[assignment]
-        weighting._total_edges = scalars["total_edges"]
-        weighting._degrees_array = degrees
-    return getattr(shell, task)(bounds)
-
-
 class ParallelMetaBlockingExecutor:
-    """Fan edge weighting + pruning across a process pool.
+    """Fan edge weighting + pruning across a thread pool.
 
     Parameters
     ----------
     weighting:
         Any :class:`~repro.core.edge_weighting.EdgeWeighting` backend; its
-        Entity Index CSR arrays are shared with the workers — copy-on-write
-        under ``fork``, through a named shared-memory segment under
-        ``shm-spawn``.
+        Entity Index CSR arrays are read, never copied, by every pool
+        thread.
     workers:
-        Process count; ``None``/``0`` means one per CPU core, ``1`` runs the
-        chunked code path in-process (no pool).
+        Thread count; ``None``/``0`` means one per usable CPU core, ``1``
+        runs the chunked code path in-process (no pool).
     chunks:
         Number of contiguous node ranges to split the graph into; defaults
         to ``4 × workers`` so stragglers rebalance.
-    backend:
-        ``None``/``"auto"`` picks ``threads`` (available on every
-        platform); any name from :data:`PARALLEL_BACKENDS` forces one,
-        falling back (with a single :class:`RuntimeWarning`) when the
-        platform cannot honour it.
     chunking:
         ``"auto"`` (the default) balances the node ranges by Entity Index
         comparison mass (:func:`partition_ranges_by_mass`); ``"even"``
         keeps the historical equal-node-count split. Either way the
         retained comparisons are identical.
     max_retries:
-        Retry budget per chunk: a chunk whose worker died
-        (:class:`~repro.core.faults.WorkerCrashed`) or that exceeded
-        ``chunk_timeout`` is re-executed up to this many times before the
-        executor *degrades* to the next simpler backend (shm-spawn → fork →
-        in-process); once in-process and still failing, the supervisor
-        raises :class:`~repro.core.faults.RetriesExhausted`. Deterministic
-        task exceptions are never retried.
+        Retry budget per chunk: a chunk that exceeded ``chunk_timeout``
+        (:class:`~repro.core.faults.ChunkTimeout`) is re-executed up to
+        this many times before the executor *degrades* from the thread
+        pool to in-process; once in-process and still failing, the
+        supervisor raises :class:`~repro.core.faults.RetriesExhausted`.
+        Deterministic task exceptions are never retried.
     chunk_timeout:
-        Seconds one chunk may run before it is counted as failed; ``None``
-        (the default) disables the timeout.
+        Seconds the owner waits on one chunk before counting it as failed;
+        ``None`` (the default) disables the timeout. The timed-out chunk's
+        thread runs on in the background, and any shard it writes is
+        deleted unadopted.
     backoff:
         Base of the exponential retry backoff (``backoff * 2**(attempt-1)``
         seconds before each retry).
 
-    Executors that resolve to ``shm-spawn`` own shared-memory segments and
-    a persistent worker pool: call :meth:`close` when done, or use the
-    executor as a context manager. The other backends hold no external
-    resources and ``close`` is a no-op.
+    Executors that resolve to ``threads`` own a persistent thread pool:
+    call :meth:`close` when done, or use the executor as a context
+    manager. On the in-process backend ``close`` is a no-op.
 
     Supervision counters accumulate in :attr:`stats` (``retries``,
-    ``worker_crashes``, ``chunk_timeouts``, ``resumed_chunks`` and the
-    ``degraded`` backend trail) and are surfaced as
-    ``MetaBlockingResult.fault_stats``.
+    ``chunk_timeouts``, ``resumed_chunks`` and the ``degraded`` backend
+    trail) and are surfaced as ``MetaBlockingResult.fault_stats``.
     """
 
     _keys: np.ndarray | None
@@ -468,7 +332,6 @@ class ParallelMetaBlockingExecutor:
         weighting: EdgeWeighting,
         workers: int | None = None,
         chunks: int | None = None,
-        backend: str | None = None,
         max_retries: int | None = None,
         chunk_timeout: float | None = None,
         backoff: float | None = None,
@@ -493,59 +356,16 @@ class ParallelMetaBlockingExecutor:
         self.stats: dict = _new_fault_stats()
         self.timings: dict = _new_timings()
         self._nodes: list[int] = weighting.nodes()
-        self._spawn_pool: ProcessPoolExecutor | None = None
         self._thread_pool: ThreadPoolExecutor | None = None
         self._thread_shells: "queue.SimpleQueue | None" = None
-        self._shared_index: SharedEntityIndex | None = None
         self._range_cache: "list[Range] | None" = None
         self._algorithm_name = ""
-        self.backend = self._resolve_backend(backend)
+        self.backend = (
+            "threads"
+            if self.workers > 1 and len(self._nodes) > 1
+            else "in-process"
+        )
         self._reset_stage()
-
-    # -- backend selection ---------------------------------------------------
-
-    def _resolve_backend(self, requested: str | None) -> str:
-        """Resolve the execution backend, warning once on any fallback."""
-        if requested == "auto":
-            requested = None
-        if requested is not None and requested not in PARALLEL_BACKENDS:
-            known = ", ".join(PARALLEL_BACKENDS)
-            raise ValueError(
-                f"unknown parallel backend {requested!r}; known: {known} (or 'auto')"
-            )
-        if self.workers <= 1 or len(self._nodes) <= 1:
-            return "in-process"
-        if requested is None:
-            # Threads are available everywhere and carry no start-method or
-            # serialization cost, so auto-selection never needs to fall
-            # back (or warn).
-            return "threads"
-        if requested == "fork" and not fork_available():
-            if spawn_available():
-                warnings.warn(
-                    "the 'fork' backend was requested but the start method "
-                    "is unavailable; falling back to 'shm-spawn'",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return "shm-spawn"
-            warnings.warn(
-                "the 'fork' backend was requested but no start method is "
-                "available; running in-process",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return "in-process"
-        if requested == "shm-spawn" and not spawn_available():
-            fallback = "fork" if fork_available() else "in-process"
-            warnings.warn(
-                "the 'shm-spawn' backend was requested but the spawn start "
-                f"method is unavailable; falling back to {fallback!r}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return fallback
-        return requested
 
     @property
     def pool_backend(self) -> str:
@@ -555,23 +375,18 @@ class ParallelMetaBlockingExecutor:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the worker pool and unlink owned shared segments.
+        """Shut down the thread pool, waiting for every pool thread.
 
-        Idempotent; a no-op for the fork and in-process backends. Always
-        reached via ``try/finally`` in :func:`parallel_prune` and
-        :func:`repro.core.pipeline.meta_block`, so segments are reclaimed on
-        success, worker crash and ``KeyboardInterrupt`` alike.
+        Idempotent; a no-op on the in-process backend. Threads still
+        running an abandoned (timed-out) chunk are waited for too, so once
+        this returns no late shard can land in a spill run. Always reached
+        via ``try/finally`` in :func:`parallel_prune` and
+        :func:`repro.core.pipeline.meta_block`.
         """
-        pool, self._spawn_pool = self._spawn_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
         threads, self._thread_pool = self._thread_pool, None
         if threads is not None:
             threads.shutdown(wait=True, cancel_futures=True)
         self._thread_shells = None
-        shared, self._shared_index = self._shared_index, None
-        if shared is not None:
-            shared.destroy()
 
     def __enter__(self) -> "ParallelMetaBlockingExecutor":
         return self
@@ -579,19 +394,12 @@ class ParallelMetaBlockingExecutor:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __del__(self) -> None:  # best-effort safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
     @classmethod
     def _worker_shell(
         cls, weighting: EdgeWeighting
     ) -> "ParallelMetaBlockingExecutor":
-        """A minimal in-process executor for running chunk tasks in a
-        spawned worker (no pool, no owned segments, staging applied by
-        :func:`_spawn_dispatch`)."""
+        """A minimal in-process executor for running chunk tasks on a pool
+        thread (no pool; staging copied in by :meth:`_sync_shell`)."""
         shell = cls.__new__(cls)
         shell.weighting = weighting
         shell.workers = 1
@@ -603,10 +411,8 @@ class ParallelMetaBlockingExecutor:
         shell.stats = _new_fault_stats()
         shell.timings = _new_timings()
         shell._nodes = weighting.nodes()
-        shell._spawn_pool = None
         shell._thread_pool = None
         shell._thread_shells = None
-        shell._shared_index = None
         shell._range_cache = None
         shell._algorithm_name = ""
         shell.backend = "in-process"
@@ -628,27 +434,10 @@ class ParallelMetaBlockingExecutor:
         #: their results as shards there instead of returning arrays.
         self._spill_dir: str | None = None
 
-    def _ensure_spawn_pool(self) -> ProcessPoolExecutor:
-        """The persistent spawn pool (and published index), built lazily."""
-        if self._spawn_pool is None:
-            if self._shared_index is None:
-                self._shared_index = self.weighting.index.to_shared()
-            self._spawn_pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, max(1, len(self._nodes))),
-                mp_context=multiprocessing.get_context("spawn"),
-                initializer=_spawn_init,
-                initargs=(
-                    self._shared_index.spec,
-                    type(self.weighting),
-                    self.weighting.scheme.name,
-                ),
-            )
-        return self._spawn_pool
-
     def _ensure_thread_pool(self) -> ThreadPoolExecutor:
         """The persistent thread pool plus one weighting clone per thread.
 
-        The clones are what make the backend safe with the ScanCount
+        The clones are what make the pool safe with the ScanCount
         (optimized) weighting, whose reusable counter arrays are mutated by
         every neighbourhood scan: each submitted chunk checks a clone out
         of :attr:`_thread_shells`, runs on it, and returns it — so no two
@@ -689,46 +478,21 @@ class ParallelMetaBlockingExecutor:
         clone._degrees_array = weighting._degrees_array
 
     def _thread_dispatch(self, payload: tuple[str, Range, int, int]):
-        """Run one chunk task on a checked-out thread shell."""
+        """Run one chunk task on a checked-out thread shell.
+
+        An injected fault fires once the shell is staged, so a ``delay``
+        stalls the task itself, exactly like a slow chunk would.
+        """
         task, bounds, chunk, attempt = payload
-        # in_worker=False: an injected "kill" must surface as a retryable
-        # WorkerCrashed here — os._exit in a pool thread would take the
-        # whole interpreter down, not one worker.
-        fire_chunk_fault(task, chunk, attempt, in_worker=False)
         shells = self._thread_shells
         assert shells is not None, "worker shells missing (threads executor)"
         shell = shells.get()
         try:
             self._sync_shell(shell)
+            fire_chunk_fault(task, chunk, attempt, in_worker=True)
             return getattr(shell, task)(bounds)
         finally:
             shells.put(shell)
-
-    def _stage_payload(self) -> tuple[dict, SharedArrayPack | None]:
-        """Snapshot the staged criteria for one shm-spawn map call.
-
-        Scalars ride in the task payload; arrays (redefined top-k keys,
-        node thresholds, EJS degrees) go through a short-lived shared pack
-        the caller must destroy after the map returns.
-        """
-        weighting = self.weighting
-        scalars = {
-            "k": self._k,
-            "wep_threshold": self._wep_threshold,
-            "conjunctive": self._conjunctive,
-            "phase2_mode": self._phase2_mode,
-            "spill_dir": self._spill_dir,
-            "total_edges": weighting._total_edges,
-        }
-        arrays: dict[str, np.ndarray] = {}
-        if self._keys is not None:
-            arrays["keys"] = self._keys
-        if self._threshold_array is not None:
-            arrays["thresholds"] = self._threshold_array
-        if weighting.scheme.uses_degrees and weighting._degrees is not None:
-            arrays["degrees"] = np.asarray(weighting._degrees, dtype=np.int64)
-        pack = SharedArrayPack.publish(arrays) if arrays else None
-        return scalars, pack
 
     # -- supervised chunk mapping --------------------------------------------
 
@@ -741,16 +505,15 @@ class ParallelMetaBlockingExecutor:
         """Run ``task`` over every node range, supervising the pool.
 
         Results come back in submission order (``None`` for ``skip``-ped
-        chunks — already-completed work on a resumed run). Retryable
-        failures — a dead worker (:class:`BrokenProcessPool` →
-        :class:`~repro.core.faults.WorkerCrashed`) or a chunk exceeding
-        :attr:`chunk_timeout` (:class:`~repro.core.faults.ChunkTimeout`) —
-        are retried with exponential backoff; chunks already completed in a
-        failed attempt are kept, never re-run. A chunk that exhausts
-        :attr:`max_retries` degrades the executor to the next simpler
-        backend (shm-spawn → fork → in-process); once in-process, the
-        supervisor raises :class:`~repro.core.faults.RetriesExhausted`.
-        Deterministic task exceptions propagate immediately, unretried.
+        chunks — already-completed work on a resumed run). A chunk that
+        exceeds :attr:`chunk_timeout`
+        (:class:`~repro.core.faults.ChunkTimeout`) is retried with
+        exponential backoff; every other chunk's future stays live and is
+        awaited by the next attempt, never re-run. A chunk that exhausts
+        :attr:`max_retries` degrades the executor from the thread pool to
+        in-process; once in-process, the supervisor raises
+        :class:`~repro.core.faults.RetriesExhausted`. Deterministic task
+        exceptions propagate immediately, unretried.
         """
         if not ranges:
             return []
@@ -760,33 +523,39 @@ class ParallelMetaBlockingExecutor:
         pending = [index for index in range(len(ranges)) if index not in skip]
         results: dict[int, object] = {}
         attempts = {index: 0 for index in pending}
-        stage: "tuple[dict, SharedArrayPack | None] | None" = None
+        # Pool futures of pending chunks, carried across attempts.
+        futures: "dict[int, Future]" = {}
         try:
             while pending:
-                if self.backend == "shm-spawn" and stage is None:
-                    stage = self._stage_payload()
-                failure = self._map_attempt(
-                    task, ranges, pending, attempts, results, stage
-                )
+                if self.backend == "threads":
+                    failure = self._threads_attempt(
+                        task, ranges, pending, attempts, results, futures
+                    )
+                else:
+                    failure = self._in_process_attempt(
+                        task, ranges, pending, attempts, results
+                    )
                 if failure is None:
                     continue  # every pending chunk completed
                 index, error = failure
+                self.stats["chunk_timeouts"] += 1
                 self.stats["retries"] += 1
                 attempts[index] += 1
                 if attempts[index] > self.max_retries:
                     if not self._degrade(task, error):
                         raise RetriesExhausted(
                             f"chunk {index} of task {task!r} still failing "
-                            f"after {self.max_retries} retries and every "
-                            "backend degradation"
+                            f"after {self.max_retries} retries and the "
+                            "in-process fallback"
                         ) from error
-                    continue  # fresh backend gets its own attempt, no sleep
+                    # In-process re-runs every pending chunk itself.
+                    self._abandon(futures)
+                    continue  # no sleep before the in-process attempt
                 delay = self.backoff * (2 ** (attempts[index] - 1))
                 if delay > 0:
                     time.sleep(delay)
         finally:
-            if stage is not None and stage[1] is not None:
-                stage[1].destroy()
+            self._abandon(futures)
             # Submission overhead was credited to "dispatch" as it
             # happened; the rest of the map's wall-clock is the phase work.
             elapsed = time.perf_counter() - started
@@ -794,251 +563,99 @@ class ParallelMetaBlockingExecutor:
             self.timings[bucket] += max(0.0, elapsed - dispatched)
         return [results.get(index) for index in range(len(ranges))]
 
-    def _map_attempt(
+    def _threads_attempt(
         self,
         task: str,
         ranges: Sequence[Range],
         pending: "list[int]",
         attempts: "dict[int, int]",
         results: "dict[int, object]",
-        stage: "tuple[dict, SharedArrayPack | None] | None",
-    ) -> "tuple[int, Exception] | None":
-        """One pool lifetime over the pending chunks.
-
-        Completed chunks move from ``pending`` into ``results``. Returns
-        ``None`` when everything finished, else ``(chunk_index, error)``
-        naming the first retryable failure observed — remaining chunks stay
-        pending for the next attempt.
-        """
-        if self.backend == "in-process":
-            for index in list(pending):
-                try:
-                    fire_chunk_fault(
-                        task, index, attempts[index], in_worker=False
-                    )
-                    results[index] = getattr(self, task)(ranges[index])
-                except RETRYABLE_FAILURES as error:
-                    self._count_failure(error)
-                    return index, error
-                pending.remove(index)
-            return None
-        if self.backend == "threads":
-            return self._submit_and_collect(
-                self._ensure_thread_pool(),
-                self._thread_dispatch,
-                {
-                    index: (task, ranges[index], index, attempts[index])
-                    for index in pending
-                },
-                pending,
-                results,
-            )
-        if self.backend == "fork":
-            global _FORK_STATE
-            _FORK_STATE = self
-            failure: "tuple[int, Exception] | None" = None
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending)),
-                mp_context=multiprocessing.get_context("fork"),
-            )
-            try:
-                failure = self._submit_and_collect(
-                    pool,
-                    _dispatch,
-                    {
-                        index: (task, ranges[index], index, attempts[index])
-                        for index in pending
-                    },
-                    pending,
-                    results,
-                )
-                return failure
-            finally:
-                _FORK_STATE = None
-                pool.shutdown(wait=failure is None, cancel_futures=True)
-        # shm-spawn: the persistent pool, rebuilt after any failure.
-        assert stage is not None
-        scalars, pack = stage
-        spec = pack.spec if pack is not None else None
-        failure = self._submit_and_collect(
-            self._ensure_spawn_pool(),
-            _spawn_dispatch,
-            {
-                index: (task, ranges[index], scalars, spec, index, attempts[index])
-                for index in pending
-            },
-            pending,
-            results,
-        )
-        if failure is not None:
-            self._discard_spawn_pool()
-        return failure
-
-    def _submit_and_collect(
-        self,
-        pool: "ProcessPoolExecutor | ThreadPoolExecutor",
-        dispatch,
-        payloads: "dict[int, tuple]",
-        pending: "list[int]",
-        results: "dict[int, object]",
-    ) -> "tuple[int, Exception] | None":
-        """Submit one attempt's chunks, then wait on them in order.
-
-        A worker can die while later chunks are still being submitted; the
-        broken pool then refuses them. Those chunks stay pending for the
-        next attempt, and the crash is reported like any dead worker.
-        """
-        submit_started = time.perf_counter()
-        futures: "dict[int, Future]" = {}
-        unsent: "int | None" = None
-        for index, payload in payloads.items():
-            try:
-                futures[index] = pool.submit(dispatch, payload)
-            except BrokenProcessPool:
-                unsent = index
-                break
-        self.timings["dispatch"] += time.perf_counter() - submit_started
-        failure = self._collect(pool, futures, pending, results)
-        if failure is None and unsent is not None:
-            error = WorkerCrashed(
-                f"a worker died before chunk {unsent} could be submitted"
-            )
-            self._count_failure(error)
-            failure = unsent, error
-        return failure
-
-    def _collect(
-        self,
-        pool: "ProcessPoolExecutor | ThreadPoolExecutor",
         futures: "dict[int, Future]",
-        pending: "list[int]",
-        results: "dict[int, object]",
     ) -> "tuple[int, Exception] | None":
-        """Wait on the attempt's futures in submission order."""
-        for index in sorted(futures):
-            future = futures[index]
+        """One pass of the thread pool over the pending chunks.
+
+        Submits each pending chunk that has no live future, then waits on
+        the futures in chunk order; completed chunks move from ``pending``
+        into ``results``. Returns ``None`` when everything finished, else
+        ``(chunk_index, ChunkTimeout)`` for the first chunk that overran
+        :attr:`chunk_timeout` — its future is abandoned, the others stay
+        in ``futures`` for the next attempt.
+        """
+        pool = self._ensure_thread_pool()
+        submit_started = time.perf_counter()
+        for index in pending:
+            if index not in futures:
+                futures[index] = pool.submit(
+                    self._thread_dispatch,
+                    (task, ranges[index], index, attempts[index]),
+                )
+        self.timings["dispatch"] += time.perf_counter() - submit_started
+        for index in list(pending):
             try:
-                value = future.result(timeout=self.chunk_timeout)
-            except RETRYABLE_FAILURES as error:
-                # Raised inside the task itself — the threads backend's
-                # injected crashes/timeouts surface here rather than as a
-                # broken pool.
-                self._count_failure(error)
-                self._harvest(futures, pending, results, skip=index)
-                return index, error
+                results[index] = futures[index].result(
+                    timeout=self.chunk_timeout
+                )
             except FuturesTimeout:
-                error: Exception = ChunkTimeout(
+                self._abandon({index: futures.pop(index)})
+                return index, ChunkTimeout(
                     f"chunk {index} exceeded the "
                     f"{self.chunk_timeout:g}s chunk timeout"
                 )
-                self._count_failure(error)
-                self._abandon(pool, futures, pending, results, skip=index)
-                return index, error
-            except BrokenProcessPool as cause:
-                error = WorkerCrashed(
-                    f"a worker died while chunk {index} was outstanding: "
-                    f"{cause}"
-                )
-                self._count_failure(error)
-                self._harvest(futures, pending, results, skip=index)
-                return index, error
-            else:
-                results[index] = value
-                pending.remove(index)
+            del futures[index]
+            pending.remove(index)
         return None
 
-    def _harvest(
+    def _in_process_attempt(
         self,
-        futures: "dict[int, Future]",
+        task: str,
+        ranges: Sequence[Range],
         pending: "list[int]",
+        attempts: "dict[int, int]",
         results: "dict[int, object]",
-        skip: int,
-    ) -> None:
-        """Keep every chunk that did finish before the attempt failed."""
-        for index, future in futures.items():
-            if index == skip or index not in pending:
-                continue
-            if future.done() and not future.cancelled():
-                try:
-                    results[index] = future.result(timeout=0)
-                except BaseException:
-                    continue  # died with the pool; stays pending
-                pending.remove(index)
+    ) -> "tuple[int, Exception] | None":
+        """Run the pending chunks serially in the owner, in chunk order."""
+        for index in list(pending):
+            try:
+                fire_chunk_fault(task, index, attempts[index], in_worker=False)
+                results[index] = getattr(self, task)(ranges[index])
+            except RETRYABLE_FAILURES as error:
+                return index, error
+            pending.remove(index)
+        return None
 
-    def _abandon(
-        self,
-        pool: ProcessPoolExecutor,
-        futures: "dict[int, Future]",
-        pending: "list[int]",
-        results: "dict[int, object]",
-        skip: int,
-    ) -> None:
-        """Cancel what never started, keep what finished, stop the rest.
+    def _abandon(self, futures: "dict[int, Future]") -> None:
+        """Stop waiting on ``futures`` (and forget them).
 
-        A timed-out chunk may be stuck in a worker indefinitely; killing
-        the pool's processes is the only way to reclaim them (best-effort —
-        ``_processes`` is CPython's private map).
+        Queued chunks are cancelled. A running chunk cannot be stopped, so
+        it finishes in the background and the shard it writes, if any, is
+        deleted as soon as it completes — no other copy of the chunk can
+        adopt it. :meth:`close` waits for those threads.
         """
-        for index, future in futures.items():
-            if index != skip:
-                future.cancel()
-        self._harvest(futures, pending, results, skip)
-        processes = getattr(pool, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
-
-    def _count_failure(self, error: Exception) -> None:
-        if isinstance(error, ChunkTimeout):
-            self.stats["chunk_timeouts"] += 1
-        else:
-            self.stats["worker_crashes"] += 1
-
-    def _discard_spawn_pool(self) -> None:
-        """Drop (and best-effort stop) a failed spawn pool; keep the index
-        segment so the replacement pool re-attaches without republishing."""
-        pool, self._spawn_pool = self._spawn_pool, None
-        if pool is None:
-            return
-        processes = getattr(pool, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
+        spill_dir = self._spill_dir
+        for future in futures.values():
+            future.cancel()
+            future.add_done_callback(
+                lambda done: _discard_shard(done, spill_dir)
+            )
+        futures.clear()
 
     def _degrade(self, task: str, error: Exception) -> bool:
-        """Fall to the next simpler backend after a chunk's retry budget.
+        """Fall back from the thread pool to in-process after a chunk's
+        retry budget; returns False when already in-process.
 
-        threads → in-process, shm-spawn → fork (where available) →
-        in-process; returns False when already in-process (nothing left to
-        degrade to). Attempt counters are kept, but the fresh backend
-        always gets at least one attempt.
+        Attempt counters are kept, but the in-process path always gets at
+        least one attempt.
         """
-        if self.backend == "shm-spawn":
-            target = "fork" if fork_available() else "in-process"
-        elif self.backend in ("fork", "threads"):
-            target = "in-process"
-        else:
+        if self.backend != "threads":
             return False
         warnings.warn(
-            f"the {self.backend!r} backend kept failing on {task!r} "
-            f"({error}); degrading to {target!r}",
+            f"the 'threads' backend kept failing on {task!r} ({error}); "
+            "degrading to 'in-process'",
             RuntimeWarning,
             stacklevel=5,
         )
-        if self.backend == "shm-spawn":
-            self._discard_spawn_pool()
-        self.stats["degraded"].append(target)
-        self.backend = target
+        self.stats["degraded"].append("in-process")
+        self.backend = "in-process"
         return True
 
     @contextmanager
@@ -1080,7 +697,7 @@ class ParallelMetaBlockingExecutor:
             self.compute_degrees()
         self.weighting._prepare_scheme_inputs()
 
-    # -- worker tasks (run inside pool children) -----------------------------
+    # -- chunk tasks (run on pool threads, or in-process) --------------------
 
     def _chunk_nearest(self, bounds: Range) -> dict[int, set[int]]:
         """Phase 1 of (Re/Rc)CNP for one node range: top-k neighbour sets."""
@@ -1154,10 +771,10 @@ class ParallelMetaBlockingExecutor:
         """Package one chunk's retained pairs for the owner.
 
         When a spill directory is staged the pairs are written straight to a
-        uniquely-named shard inside it — so a chunk's result never travels
-        through pickle, and worker memory stays bounded — and only the shard
-        name (plus its CRC, for checkpoint validation on resume) rides back.
-        Otherwise the canonical arrays are returned as-is.
+        uniquely-named shard inside it — so the owner never holds every
+        chunk's pairs at once — and only the shard name (plus its CRC, for
+        checkpoint validation on resume) rides back. Otherwise the canonical
+        arrays are returned as-is.
         """
         if self._spill_dir is not None:
             name, checksum = SpillSink.write_shard(
@@ -1384,7 +1001,7 @@ class ParallelMetaBlockingExecutor:
     ) -> None:
         """Map the pair-producing phase and feed the sink in chunk order.
 
-        Worker-written shards are adopted by name (the sink flushes its own
+        Chunk-written shards are adopted by name (the sink flushes its own
         buffer first, so manifest order equals serial emission order); array
         results are appended directly. On a :class:`SpillSink` every
         adoption is chunk-tagged, which makes it durable in the write-ahead
@@ -1481,7 +1098,7 @@ class ParallelMetaBlockingExecutor:
         ``sink`` routes the retained edges: ``None`` buffers them in memory
         (the historical behaviour). Given a
         :class:`~repro.datamodel.sinks.SpillSink`, its run directory is
-        staged to the workers and every pair-producing chunk task writes its
+        staged to the chunk tasks and every pair-producing one writes its
         result straight to a per-chunk shard there; the owner adopts the
         shards in submission order, so the manifest reproduces the serial
         emission order exactly. On any failure the sink is aborted (shards
@@ -1528,7 +1145,7 @@ class ParallelMetaBlockingExecutor:
         ranges = self._ranges()
         # The fused single-gather paths cache each range's emitted edges at
         # the owner, so they are reserved for non-spilling runs (spill runs
-        # keep bounded worker memory and chunk-level resume records) and
+        # keep bounded owner memory and chunk-level resume records) and
         # can be disabled per algorithm via ``algorithm.fused``.
         fused = self._spill_dir is None and getattr(algorithm, "fused", True)
         if isinstance(algorithm, CardinalityEdgePruning):
@@ -1688,7 +1305,6 @@ def parallel_prune(
     algorithm: PruningAlgorithm,
     workers: int | None = None,
     chunks: int | None = None,
-    backend: str | None = None,
     sink: "ComparisonSink | None" = None,
     chunking: str | None = None,
 ) -> ComparisonCollection:
@@ -1699,7 +1315,6 @@ def parallel_prune(
         weighting,
         workers=workers,
         chunks=chunks,
-        backend=backend,
         chunking=chunking,
     )
     try:

@@ -90,17 +90,16 @@ class MetaBlockingResult:
     pruning_seconds: float = 0.0
     #: Extra stages run by the full workflow (blocking, purging).
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    #: Worker processes that actually ran the pruning stage (1 == serial).
+    #: Workers that actually ran the pruning stage (1 == serial).
     effective_workers: int = 1
-    #: ``"serial"``, ``"in-process"`` (chunked, no pool), ``"threads"``
-    #: (GIL-releasing thread pool), ``"fork"`` or ``"shm-spawn"``
-    #: (shared-memory segments + spawned workers).
+    #: ``"serial"``, ``"in-process"`` (chunked, no pool) or ``"threads"``
+    #: (GIL-releasing thread pool) — the executor's final backend.
     parallel_backend: str = "serial"
     #: The resolved execution configuration this run used.
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     #: Supervision counters from the parallel executor: ``retries``,
-    #: ``worker_crashes``, ``chunk_timeouts``, ``resumed_chunks`` and the
-    #: ``degraded`` backend trail. Empty for serial runs.
+    #: ``chunk_timeouts``, ``resumed_chunks`` and the ``degraded`` backend
+    #: trail. Empty for serial runs.
     fault_stats: dict = field(default_factory=dict)
     #: Per-phase wall-clock seconds from the parallel executor —
     #: ``dispatch`` (submitting chunks to the pool), ``weight`` (chunk
@@ -154,7 +153,6 @@ def meta_block(
     backend: str = "optimized",
     execution: "ExecutionConfig | None" = None,
     parallel: int | None = None,
-    parallel_backend: str | None = None,
     chunks: int | None = None,
     chunk_size: "int | str | None" = None,
 ) -> MetaBlockingResult:
@@ -180,15 +178,13 @@ def meta_block(
         (Algorithm 2) edge weighting.
     execution:
         An :class:`~repro.core.execution.ExecutionConfig` holding every
-        execution knob: worker count and pool backend, node-partition and
-        edge-chunk sizes, and the out-of-core ``spill_dir`` /
-        ``memory_budget`` settings. When spilling is configured the retained
-        comparisons go to ``.npy`` shards and
-        :attr:`MetaBlockingResult.comparisons` memory-maps them back;
-        results are bit-identical either way. Any parallel-backend fallback
-        emits exactly one :class:`RuntimeWarning` per call; the effective
-        worker count and backend are recorded on the result.
-    parallel, parallel_backend, chunks, chunk_size:
+        execution knob: worker count, node-partition and edge-chunk sizes,
+        and the out-of-core ``spill_dir`` / ``memory_budget`` settings.
+        When spilling is configured the retained comparisons go to
+        ``.npy`` shards and :attr:`MetaBlockingResult.comparisons`
+        memory-maps them back; results are bit-identical either way. The
+        effective worker count and backend are recorded on the result.
+    parallel, chunks, chunk_size:
         Deprecated aliases for the matching :class:`ExecutionConfig` fields;
         they forward into ``execution`` with a :class:`DeprecationWarning`.
     """
@@ -206,7 +202,6 @@ def meta_block(
     execution = resolve_execution(
         execution,
         parallel=parallel,
-        parallel_backend=parallel_backend,
         chunks=chunks,
         chunk_size=chunk_size,
     )
@@ -287,7 +282,6 @@ def meta_block(
                 weighting,
                 workers=workers,
                 chunks=execution.chunks,
-                backend=execution.parallel_backend,
                 max_retries=execution.max_retries,
                 chunk_timeout=execution.chunk_timeout,
                 backoff=execution.backoff,
@@ -306,8 +300,8 @@ def meta_block(
                 }
                 phase_timings = dict(executor.timings)
             finally:
-                # Releases the shm-spawn pool and unlinks owned segments on
-                # success, worker crash and KeyboardInterrupt alike.
+                # Joins the pool threads (abandoned chunks included) on
+                # success, failure and KeyboardInterrupt alike.
                 executor.close()
         else:
             comparisons = run_pruning(pruning, weighting, sink)
@@ -394,8 +388,8 @@ class MetaBlockingWorkflow:
     scheme / algorithm / backend / execution:
         Forwarded to :func:`meta_block`; ``execution`` is the
         :class:`~repro.core.execution.ExecutionConfig` holding every
-        execution knob (workers, pool backend, chunking, spilling).
-    parallel / parallel_backend / chunk_size:
+        execution knob (workers, chunking, spilling).
+    parallel / chunk_size:
         Deprecated aliases for the matching ``execution`` fields; they
         forward with a :class:`DeprecationWarning`.
     """
@@ -410,7 +404,6 @@ class MetaBlockingWorkflow:
         backend: str = "optimized",
         execution: "ExecutionConfig | None" = None,
         parallel: int | None = None,
-        parallel_backend: str | None = None,
         chunk_size: "int | str | None" = None,
     ) -> None:
         if not blocking.redundancy_positive:
@@ -428,7 +421,6 @@ class MetaBlockingWorkflow:
         self.execution = resolve_execution(
             execution,
             parallel=parallel,
-            parallel_backend=parallel_backend,
             chunk_size=chunk_size,
         )
 
@@ -437,10 +429,6 @@ class MetaBlockingWorkflow:
     @property
     def parallel(self) -> int | None:
         return self.execution.parallel
-
-    @property
-    def parallel_backend(self) -> str | None:
-        return self.execution.parallel_backend
 
     @property
     def chunk_size(self) -> "int | str | None":

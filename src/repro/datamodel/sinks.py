@@ -824,6 +824,24 @@ def read_run_checkpoint(run_dir: "str | os.PathLike[str]") -> dict:
     return SpillSink._load_checkpoint(Path(run_dir))
 
 
+def pid_alive(pid: int) -> bool:
+    """Best-effort liveness probe (signal 0; permission errors mean alive).
+
+    Decides whether a crashed-run sweep may reclaim an artifact tagged with
+    its owner's pid: here for spill runs, and in
+    :func:`repro.blockprocessing.delta_index.sweep_stale_epochs`.
+    """
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):
+        return True
+    return True
+
+
 def sweep_stale_runs(
     spill_dir: "str | os.PathLike[str]", dry_run: bool = False
 ) -> "list[Path]":
@@ -838,8 +856,6 @@ def sweep_stale_runs(
     worth salvaging. Returns the directories swept (or, with ``dry_run``,
     those that would be).
     """
-    from repro.utils.shm import pid_alive
-
     parent = Path(spill_dir)
     swept: list[Path] = []
     if not parent.is_dir():
@@ -1037,6 +1053,7 @@ __all__ = [
     "ensure_view",
     "load_spilled_view",
     "pair_checksum",
+    "pid_alive",
     "read_run_checkpoint",
     "stream_pruned",
     "sweep_stale_runs",

@@ -9,8 +9,8 @@ layer over the exact batch machinery, running on a mutable
 
 * the Entity Index is the delta index — an immutable base CSR plus
   append-only deltas, compacted back into a fresh CSR once the delta
-  grows past ``compact_ratio`` (epoch-based, optionally into shared
-  memory and/or persisted epoch snapshots);
+  grows past ``compact_ratio`` (epoch-based, optionally persisted as
+  epoch snapshots);
 * Block Filtering becomes an insertion-time cap: a new profile only joins
   its ``r``-fraction smallest existing blocks (importance = current block
   size, the streaming analogue of Algorithm 1's cardinality ordering);
@@ -53,7 +53,7 @@ from repro.blockprocessing.delta_index import (
     load_epoch,
     load_epoch_state,
 )
-from repro.blockprocessing.entity_index import EntityIndex, SharedEntityIndex
+from repro.blockprocessing.entity_index import EntityIndex
 from repro.core.edge_stream import (
     NodeGroup,
     directed_pair_keys,
@@ -679,13 +679,12 @@ class IncrementalMetaBlocking:
             raise
         return sink.finalize(self.index.num_entities)
 
-    def compact(self, shared: bool = False) -> "EntityIndex | SharedEntityIndex":
+    def compact(self) -> EntityIndex:
         """Merge the index deltas into a fresh base CSR now.
 
         Per-node criteria stay valid — compaction changes the storage
-        layout, never the collection. With ``shared=True`` the new base is
-        published to shared memory (the caller owns the segment). Persists
-        an epoch snapshot when ``compact_dir`` is configured. Buffered
+        layout, never the collection. Persists an epoch snapshot when
+        ``compact_dir`` is configured. Buffered
         :meth:`submit` profiles are committed first *without* tripping
         auto-compaction — the flushed batch folds into this one compaction
         (one call, one :attr:`compactions` increment), where it used to be
@@ -699,7 +698,6 @@ class IncrementalMetaBlocking:
         self.compactions += 1
         state = None if self.wal is None else self._snapshot_state()
         base = self.index.compact(
-            shared=shared,
             persist_dir=self.compact_dir,
             state=state,
             # The snapshot replaces the WAL segments it covers, so under a
@@ -1433,14 +1431,11 @@ class IncrementalMetaBlocking:
     def _kernel_workers(self, nodes: int) -> int:
         """Thread count for a multi-node kernel pass over ``nodes`` nodes.
 
-        Only the threads backends share the delta index zero-copy (the
-        clones read the live arrays under the GIL); process backends would
-        have to compact and re-pickle first, so they run serial here.
+        The clones read the live delta index zero-copy, so the pass needs
+        no compaction first.
         """
         execution = self.execution
         if execution is None or execution.parallel in (None, 1):
-            return 1
-        if execution.parallel_backend not in (None, "auto", "threads"):
             return 1
         workers = resolve_workers(execution.parallel)
         if workers <= 1 or nodes < 2 * NODE_CRITERIA_BATCH:

@@ -69,7 +69,6 @@ import time
 from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 from repro.core.faults import InjectedFault, fire_chunk_fault
 from repro.incremental import IncrementalMetaBlocking

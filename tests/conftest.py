@@ -1,24 +1,10 @@
-"""Shared fixtures: the paper's worked example and small synthetic datasets.
-
-Setting the ``REPRO_FORCE_SPAWN`` environment variable runs the whole suite
-with the ``spawn`` start method forced (and
-:func:`repro.core.parallel.fork_available` returning False), so the
-shared-memory backend is exercised even on Linux — CI has a dedicated leg
-for this.
-"""
+"""Shared fixtures: the paper's worked example and small synthetic datasets."""
 
 from __future__ import annotations
-
-import multiprocessing
-import os
 
 import pytest
 
 from repro import BlockPurging, TokenBlocking
-from repro.utils.shm import list_segments
-
-if os.environ.get("REPRO_FORCE_SPAWN"):
-    multiprocessing.set_start_method("spawn", force=True)
 from repro.datasets import (
     bibliographic_dataset,
     paper_example_blocks,
@@ -82,27 +68,13 @@ def small_dirty_blocks(small_dirty):
 
 
 @pytest.fixture
-def shm_leak_check():
-    """Assert the test leaks no repro shared-memory segments.
-
-    Compares ``/dev/shm`` snapshots before and after the test body (set
-    difference, so segments owned by longer-lived module/session fixtures
-    don't false-positive). A no-op on platforms without ``/dev/shm``.
-    """
-    before = list_segments()
-    yield
-    leaked = list_segments() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-
-
-@pytest.fixture
 def spill_leak_check(tmp_path):
     """A spill directory asserted empty of run artifacts after the test.
 
-    Mirrors ``shm_leak_check``: any ``run-*`` directory still present when
-    the test body finishes (without the test having finalised a view over
-    it) is a leaked spill artifact. The fixture yields the parent directory
-    to pass as ``spill_dir``; tests that keep a finalised view alive should
+    Any ``run-*`` directory still present when the test body finishes
+    (without the test having finalised a view over it) is a leaked spill
+    artifact. The fixture yields the parent directory to pass as
+    ``spill_dir``; tests that keep a finalised view alive should
     ``release()`` it before returning.
     """
     spill_dir = tmp_path / "spill"

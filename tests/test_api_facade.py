@@ -97,7 +97,6 @@ class TestDeprecationPolicy:
     def test_wire_protocol_execution_round_trip(self):
         execution = ExecutionConfig(
             parallel=2,
-            parallel_backend="threads",
             compact_ratio=0.5,
             batch_size=8,
         )

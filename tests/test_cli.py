@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -162,18 +163,21 @@ class TestFaultToleranceFlags:
         # A clean run reports no fault line.
         assert "faults:" not in out
 
-    def test_injected_kill_reports_fault_stats(
+    def test_injected_timeout_reports_fault_stats(
         self, clean_dataset_path, capsys
     ):
         from repro.core.faults import Fault, injected_faults
 
-        with injected_faults(Fault(op="kill", chunk=0, task="wnp")):
+        with injected_faults(
+            Fault(op="delay", seconds=0.5, chunk=0, task="wnp")
+        ):
             assert main(
                 ["metablock", clean_dataset_path, "--workers", "2",
-                 "--algorithm", "WNP"]
+                 "--algorithm", "WNP", "--chunk-timeout", "0.2"]
             ) == 0
         out = capsys.readouterr().out
-        assert "faults:" in out and "worker crashes" in out
+        assert "faults:" in out
+        assert re.search(r"\([1-9]\d* timeouts\)", out), out
 
     def test_resume_completes_interrupted_run(
         self, clean_dataset_path, tmp_path, capsys
@@ -213,23 +217,17 @@ class TestFaultToleranceFlags:
 
 class TestClean:
     def test_sweeps_stale_artifacts(self, tmp_path, capsys):
-        from repro.core.faults import leak_shm_segment
-        from repro.utils.shm import list_segments
-
-        name = leak_shm_segment()
         dead_run = tmp_path / "run-4194304-dead"
         dead_run.mkdir()
 
         assert main(["clean", "--spill-dir", str(tmp_path), "--dry-run"]) == 0
         out = capsys.readouterr().out
-        assert f"would remove shared-memory segment {name}" in out
         assert f"would remove spill run {dead_run}" in out
-        assert name in list_segments() and dead_run.exists()
+        assert dead_run.exists()
 
         assert main(["clean", "--spill-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert f"removed shared-memory segment {name}" in out
-        assert name not in list_segments()
+        assert f"removed spill run {dead_run}" in out
         assert not dead_run.exists()
 
     def test_nothing_to_clean(self, tmp_path, capsys):

@@ -16,11 +16,7 @@ from repro.core.edge_weighting import (
     OptimizedEdgeWeighting,
     OriginalEdgeWeighting,
 )
-from repro.core.parallel import (
-    ParallelMetaBlockingExecutor,
-    fork_available,
-    spawn_available,
-)
+from repro.core.parallel import PARALLEL_BACKENDS, ParallelMetaBlockingExecutor
 from repro.core.pruning import PRUNING_ALGORITHMS
 from repro.core.vectorized import VectorizedEdgeWeighting
 from repro.core.weights import WEIGHTING_SCHEMES
@@ -86,10 +82,10 @@ class TestPrunedOutputAgreement:
 
 @pytest.fixture(scope="module")
 def parallel_executors(bilateral_blocks):
-    """Cache of two-worker executors keyed by (weighting name, pool backend).
+    """Cache of executors keyed by (weighting name, pool backend).
 
-    One persistent executor per cell keeps the spawn-pool startup cost to a
-    single pool per weighting backend instead of one per test.
+    Two workers resolve to the thread pool, one to the in-process path; one
+    persistent executor per cell reuses its pool across algorithms.
     """
     cache: dict[tuple[str, str], ParallelMetaBlockingExecutor] = {}
 
@@ -98,9 +94,8 @@ def parallel_executors(bilateral_blocks):
         if key not in cache:
             cache[key] = ParallelMetaBlockingExecutor(
                 BACKENDS[name](bilateral_blocks, "JS"),
-                workers=2,
+                workers=2 if pool_backend == "threads" else 1,
                 chunks=3,
-                backend=pool_backend,
             )
         return cache[key]
 
@@ -109,28 +104,12 @@ def parallel_executors(bilateral_blocks):
         executor.close()
 
 
-@pytest.mark.parametrize(
-    "pool_backend",
-    [
-        "threads",
-        pytest.param(
-            "fork",
-            marks=pytest.mark.skipif(
-                not fork_available(), reason="fork start method unavailable"
-            ),
-        ),
-        pytest.param(
-            "shm-spawn",
-            marks=pytest.mark.skipif(
-                not spawn_available(), reason="spawn start method unavailable"
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("pool_backend", PARALLEL_BACKENDS)
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("algorithm", sorted(PRUNING_ALGORITHMS))
 class TestParallelBackendsAgree:
-    """Every weighting backend × algorithm cell, two workers, both pools."""
+    """Every weighting backend × algorithm cell, on the thread pool and on
+    the in-process chunked path."""
 
     def test_two_workers_match_serial(
         self, parallel_executors, bilateral_blocks, backend, algorithm, pool_backend

@@ -182,7 +182,6 @@ def replay(
     script: "list[tuple[list[int], bool]]",
     bilateral: bool,
     compact_points: "set[int]",
-    shared: bool = False,
 ) -> DeltaEntityIndex:
     """Drive a DeltaEntityIndex through a scripted upsert interleaving."""
     index = DeltaEntityIndex(is_bilateral=bilateral)
@@ -193,7 +192,7 @@ def replay(
         if memberships:
             index.assign(entity, memberships)
         if step in compact_points:
-            index.compact(shared=shared)
+            index.compact()
         assert_delta_fraction_exact(index)
     return index
 
@@ -248,25 +247,6 @@ def test_read_through_equals_batch_before_compaction(script, bilateral):
         ref_ids, ref_blocks = reference.cooccurrence_arrays(entity)
         np.testing.assert_array_equal(mine_ids, ref_ids)
         np.testing.assert_array_equal(mine_blocks, ref_blocks)
-
-
-def test_shared_compaction_round_trips():
-    pytest.importorskip("multiprocessing.shared_memory")
-    index = DeltaEntityIndex()
-    blocks = [index.new_block() for _ in range(2)]
-    for _ in range(4):
-        entity = index.new_entity()
-        index.assign(entity, blocks)
-    reference = build_reference(index)
-    shared = index.compact(shared=True)
-    try:
-        assert_csr_identical(shared, reference)
-        # The delta keeps answering queries off the new shared base.
-        entity = index.new_entity()
-        index.assign(entity, [blocks[0]])
-        assert index.block_size(blocks[0]) == 5
-    finally:
-        shared.destroy()
 
 
 # -- single-node kernel vs batch kernel ------------------------------------

@@ -336,7 +336,7 @@ class TestRecoveryEquivalence:
         assert report.records_replayed == (STREAM - 40) // BATCH
 
     def test_threads_backend(self, tmp_path):
-        execution = ExecutionConfig(parallel=2, parallel_backend="threads")
+        execution = ExecutionConfig(parallel=2)
         profiles = _profiles(STREAM)
         durable = _resolver(wal_dir=tmp_path / "wal", execution=execution)
         _feed(durable, profiles)

@@ -45,8 +45,9 @@ class TestExecutionConfig:
             sink.abort()
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="unknown parallel backend"):
-            ExecutionConfig(parallel_backend="greenlets")
+        # The backend follows from the worker count; there is no knob.
+        with pytest.raises(TypeError, match="parallel_backend"):
+            ExecutionConfig(parallel_backend="threads")
         with pytest.raises(ValueError, match="chunks must be positive"):
             ExecutionConfig(chunks=0)
         with pytest.raises(ValueError, match="chunk_size must be positive"):
@@ -88,7 +89,6 @@ class TestExecutionConfig:
     def test_dict_round_trip(self, tmp_path):
         config = ExecutionConfig(
             parallel=2,
-            parallel_backend="in-process",
             chunks=3,
             chunk_size=4096,
             spill_dir=tmp_path,
@@ -159,11 +159,9 @@ class TestResolveExecution:
 
     def test_all_documented_kwargs_are_accepted(self):
         kwargs = {key: 2 for key in DEPRECATED_EXECUTION_KWARGS}
-        kwargs["parallel_backend"] = "in-process"
         with pytest.warns(DeprecationWarning):
             config = resolve_execution(None, **kwargs)
         assert config.parallel == 2
-        assert config.parallel_backend == "in-process"
 
 
 class TestPipelineIntegration:
@@ -204,7 +202,6 @@ class TestPipelineIntegration:
         )
         assert workflow.parallel == 2
         assert workflow.chunk_size == 1024
-        assert workflow.parallel_backend is None
         result = workflow.run(small_clean_clean)
         assert result.comparisons.cardinality > 0
 

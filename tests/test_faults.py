@@ -2,11 +2,14 @@
 
 The injection harness (:mod:`repro.core.faults`) drives every scenario
 deterministically: faults are keyed on the chunk's *attempt number*, so a
-``kill`` fault fires on the first attempt and the retry succeeds without
-any shared mutable state between processes. The resume scenarios run the
-interrupted half in a real subprocess that hard-exits (``os._exit``)
-mid-adoption — the same shape as a SIGKILL or OOM kill — and assert the
-resumed run's output is bit-identical to an uninterrupted serial run.
+``delay`` fault fires on the first attempt and the retry succeeds without
+any shared mutable state. On the thread pool a ``delay`` really stalls the
+chunk's thread, so the owner's timeout path runs for real; keep the delays
+short, because a timed-out thread cannot be stopped and ``close()`` waits
+for it. The resume scenarios run the interrupted half in a real subprocess
+that hard-exits (``os._exit``) mid-adoption — the same shape as a SIGKILL
+or OOM kill — and assert the resumed run's output is bit-identical to an
+uninterrupted serial run.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro import BlockPurging, TokenBlocking
-from repro.core import ExecutionConfig, meta_block, resume_run
+from repro.core import BlockFiltering, ExecutionConfig, meta_block, resume_run
 from repro.core.edge_weighting import OptimizedEdgeWeighting
 from repro.core.faults import (
     FAULTS_ENV,
@@ -31,20 +34,14 @@ from repro.core.faults import (
     InjectedFault,
     RetriesExhausted,
     SpillCorrupted,
-    WorkerCrashed,
     active_plan,
     clear_faults,
     injected_faults,
     install_faults,
-    leak_shm_segment,
     truncate_shard,
 )
-from repro.core.parallel import (
-    ParallelMetaBlockingExecutor,
-    fork_available,
-    spawn_available,
-)
-from repro.core.pruning import CardinalityEdgePruning
+from repro.core.parallel import PARALLEL_BACKENDS, ParallelMetaBlockingExecutor
+from repro.core.pruning import CardinalityEdgePruning, WeightedNodePruning
 from repro.core.weights import get_scheme
 from repro.datamodel.sinks import (
     CHECKPOINT_NAME,
@@ -54,26 +51,6 @@ from repro.datamodel.sinks import (
     sweep_stale_runs,
 )
 from repro.datasets.synthetic import DatasetScale, bibliographic_dataset
-from repro.utils.shm import (
-    attach_segment,
-    list_segments,
-    pid_alive,
-    segment_owner_pid,
-    sweep_stale_segments,
-)
-
-
-def pool_backends() -> list[str]:
-    backends = []
-    if fork_available():
-        backends.append("fork")
-    if spawn_available():
-        backends.append("shm-spawn")
-    return backends
-
-
-def all_backends() -> list[str]:
-    return pool_backends() + ["in-process"]
 
 
 @pytest.fixture(autouse=True)
@@ -83,15 +60,36 @@ def _no_fault_leak():
     clear_faults()
 
 
-def _fault_config(backend: str, **overrides) -> ExecutionConfig:
-    settings = {
-        "parallel": 2,
-        "parallel_backend": backend,
-        "chunks": 4,
-        "backoff": 0.01,
-    }
+def _fault_config(**overrides) -> ExecutionConfig:
+    settings = {"parallel": 2, "chunks": 4, "backoff": 0.01}
     settings.update(overrides)
     return ExecutionConfig(**settings)
+
+
+def _supervised_wnp(blocks, backend: str, **settings):
+    """WNP through the supervised executor on ``backend``.
+
+    Two workers resolve to the thread pool, one to the in-process path.
+    The input is filtered like ``meta_block``'s default (r=0.8), so the
+    pairs compare equal to a serial ``meta_block`` run. Returns
+    ``(pairs, stats)``.
+    """
+    weighting = OptimizedEdgeWeighting(BlockFiltering(0.8).process(blocks), "JS")
+    workers = 2 if backend == "threads" else 1
+    with ParallelMetaBlockingExecutor(
+        weighting, workers=workers, chunks=4, backoff=0.01, **settings
+    ) as executor:
+        assert executor.backend == backend
+        pairs = list(executor.prune(WeightedNodePruning()).pairs)
+    return pairs, executor.stats
+
+
+def _assert_no_orphan_shards(result) -> None:
+    """The run directory holds exactly the shards its manifest adopted."""
+    manifest = json.loads(result.spill_manifest.read_text())
+    adopted = {shard["file"] for shard in manifest["shards"]}
+    on_disk = {path.name for path in result.spill_manifest.parent.glob("*.npy")}
+    assert on_disk == adopted
 
 
 @pytest.fixture(scope="module")
@@ -102,10 +100,10 @@ def serial_wnp(small_clean_blocks):
 
 class TestTaxonomy:
     def test_hierarchy(self):
-        for exc in (WorkerCrashed, ChunkTimeout, SpillCorrupted, RetriesExhausted):
+        for exc in (ChunkTimeout, SpillCorrupted, RetriesExhausted):
             assert issubclass(exc, FaultToleranceError)
             assert issubclass(exc, RuntimeError)
-        assert RETRYABLE_FAILURES == (WorkerCrashed, ChunkTimeout)
+        assert RETRYABLE_FAILURES == (ChunkTimeout,)
         assert not issubclass(InjectedFault, FaultToleranceError)
 
     def test_fault_validates_site_and_op(self):
@@ -115,7 +113,7 @@ class TestTaxonomy:
             Fault(op="nope")
 
     def test_matches_chunk_window(self):
-        fault = Fault(op="kill", chunk=2, task="wnp", attempts=2)
+        fault = Fault(op="delay", chunk=2, task="wnp", attempts=2)
         assert fault.matches_chunk("_chunk_original_wnp", 2, 0)
         assert fault.matches_chunk("_chunk_original_wnp", 2, 1)
         assert not fault.matches_chunk("_chunk_original_wnp", 2, 2)
@@ -127,7 +125,7 @@ class TestFaultPlan:
     def test_json_round_trip(self):
         plan = FaultPlan(
             (
-                Fault(op="kill", chunk=1),
+                Fault(op="error", chunk=1),
                 Fault(site="adopt", op="exit", after=3),
                 Fault(op="delay", seconds=0.5, task="wep"),
             )
@@ -135,7 +133,7 @@ class TestFaultPlan:
         assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_install_mirrors_into_environment(self):
-        plan = FaultPlan((Fault(op="kill", chunk=0),))
+        plan = FaultPlan((Fault(op="delay", chunk=0),))
         install_faults(plan)
         try:
             assert FaultPlan.from_json(os.environ[FAULTS_ENV]) == plan
@@ -146,73 +144,34 @@ class TestFaultPlan:
         assert active_plan() is None
 
     def test_plan_read_back_from_environment(self, monkeypatch):
-        # A worker that never called install_faults sees the inherited env.
+        # A child process that never called install_faults sees the
+        # inherited env.
         plan = FaultPlan((Fault(op="error", chunk=7),))
         monkeypatch.setenv(FAULTS_ENV, plan.to_json())
         assert active_plan() == plan
 
     def test_context_manager_cleans_up(self):
-        with injected_faults(Fault(op="kill")) as plan:
+        with injected_faults(Fault()) as plan:
             assert active_plan() == plan
         assert active_plan() is None
 
 
 class TestSupervisedRetries:
-    @pytest.mark.parametrize("backend", all_backends())
-    def test_worker_kill_is_retried(
-        self, small_clean_blocks, serial_wnp, backend, shm_leak_check
-    ):
-        with injected_faults(Fault(op="kill", chunk=0, task="wnp")):
-            result = meta_block(
-                small_clean_blocks,
-                "JS",
-                "WNP",
-                execution=_fault_config(backend),
-            )
-        assert list(result.comparisons.pairs) == serial_wnp
-        assert result.fault_stats["worker_crashes"] >= 1
-        assert result.fault_stats["retries"] >= 1
-
-    @pytest.mark.parametrize("backend", all_backends())
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_chunk_timeout_is_retried(
-        self, small_clean_blocks, serial_wnp, backend, shm_leak_check
+        self, small_clean_blocks, serial_wnp, backend
     ):
-        # The pool backends really stall a worker past the deadline; the
+        # The thread pool really stalls chunk 0 past the deadline; the
         # in-process backend simulates the timeout by raising it directly.
         with injected_faults(
-            Fault(op="delay", seconds=30.0, chunk=0, task="wnp")
+            Fault(op="delay", seconds=0.5, chunk=0, task="wnp")
         ):
-            result = meta_block(
-                small_clean_blocks,
-                "JS",
-                "WNP",
-                execution=_fault_config(backend, chunk_timeout=1.0),
+            pairs, stats = _supervised_wnp(
+                small_clean_blocks, backend, chunk_timeout=0.2
             )
-        assert list(result.comparisons.pairs) == serial_wnp
-        assert result.fault_stats["chunk_timeouts"] >= 1
-        assert result.fault_stats["retries"] >= 1
-
-    @pytest.mark.parametrize("backend", all_backends())
-    def test_kill_plus_timeout_completes_everywhere(
-        self, small_clean_blocks, serial_wnp, backend, shm_leak_check
-    ):
-        # The acceptance scenario: one worker kill AND one chunk timeout in
-        # the same run, on every backend, still bit-identical to serial.
-        with injected_faults(
-            Fault(op="kill", chunk=0, task="wnp"),
-            Fault(op="delay", seconds=30.0, chunk=3, task="wnp"),
-        ):
-            result = meta_block(
-                small_clean_blocks,
-                "JS",
-                "WNP",
-                execution=_fault_config(backend, chunk_timeout=1.5),
-            )
-        assert list(result.comparisons.pairs) == serial_wnp
-        stats = result.fault_stats
-        assert stats["worker_crashes"] >= 1
+        assert pairs == serial_wnp
         assert stats["chunk_timeouts"] >= 1
-        assert stats["retries"] >= 2
+        assert stats["retries"] >= 1
 
     def test_deterministic_error_is_not_retried(self, small_clean_blocks):
         with injected_faults(Fault(op="error", chunk=0, task="wnp")):
@@ -221,103 +180,105 @@ class TestSupervisedRetries:
                     small_clean_blocks,
                     "JS",
                     "WNP",
-                    execution=_fault_config("in-process"),
+                    execution=_fault_config(),
                 )
 
     def test_retries_exhausted_in_process(self, small_clean_blocks):
         # in-process is the bottom of the degradation ladder: a chunk that
         # keeps failing there surfaces as RetriesExhausted.
         with injected_faults(
-            Fault(op="kill", chunk=0, task="wnp", attempts=99)
+            Fault(op="delay", chunk=0, task="wnp", attempts=99)
         ):
             with pytest.raises(RetriesExhausted):
-                meta_block(
-                    small_clean_blocks,
-                    "JS",
-                    "WNP",
-                    execution=_fault_config("in-process", max_retries=1),
-                )
+                _supervised_wnp(small_clean_blocks, "in-process", max_retries=1)
 
-    @pytest.mark.skipif(not fork_available(), reason="fork unavailable")
-    def test_degrades_to_in_process(
-        self, small_clean_blocks, serial_wnp, shm_leak_check
-    ):
-        # attempts=2 with max_retries=1: both fork attempts die, the
-        # executor degrades, and the in-process attempt (attempt index 2)
-        # is past the fault's window and succeeds.
+    def test_degrades_to_in_process(self, small_clean_blocks, serial_wnp):
+        # attempts=2 with max_retries=1: both thread-pool attempts time
+        # out, the executor degrades, and the in-process attempt (attempt
+        # index 2) is past the fault's window and succeeds.
         with injected_faults(
-            Fault(op="kill", chunk=0, task="wnp", attempts=2)
+            Fault(op="delay", seconds=0.5, chunk=0, task="wnp", attempts=2)
         ):
             with pytest.warns(RuntimeWarning, match="degrading"):
                 result = meta_block(
                     small_clean_blocks,
                     "JS",
                     "WNP",
-                    execution=_fault_config("fork", max_retries=1),
+                    execution=_fault_config(max_retries=1, chunk_timeout=0.2),
                 )
         assert list(result.comparisons.pairs) == serial_wnp
         assert result.fault_stats["degraded"] == ["in-process"]
+        assert result.parallel_backend == "in-process"
 
-    def test_pool_breaking_during_submission_is_a_crash(
-        self, small_clean_blocks
-    ):
-        """A worker can die while later chunks are still being submitted:
-        the broken pool refuses them, and they stay pending for a retry."""
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-
-        class BreaksOnSecondSubmit:
-            submitted = 0
-
-            def submit(self, dispatch, payload):
-                self.submitted += 1
-                if self.submitted > 1:
-                    raise BrokenProcessPool("a worker died")
-                future: Future = Future()
-                future.set_result(payload[2])
-                return future
-
-        executor = ParallelMetaBlockingExecutor(
-            OptimizedEdgeWeighting(small_clean_blocks, "JS"),
-            workers=2,
-            chunks=3,
-            backend="in-process",
-        )
-        pending, results = [0, 1, 2], {}
-        try:
-            failure = executor._submit_and_collect(
-                BreaksOnSecondSubmit(),
-                None,
-                {index: ("wnp", None, index, 0) for index in pending},
-                pending,
-                results,
-            )
-        finally:
-            executor.close()
-        assert failure is not None
-        index, error = failure
-        assert index == 1 and isinstance(error, WorkerCrashed)
-        assert results == {0: 0} and pending == [1, 2]
-        assert executor.stats["worker_crashes"] == 1
-
-    def test_clean_parallel_run_reports_zero_counters(
-        self, small_clean_blocks, shm_leak_check
-    ):
+    def test_clean_parallel_run_reports_zero_counters(self, small_clean_blocks):
         result = meta_block(
-            small_clean_blocks,
-            "JS",
-            "WNP",
-            execution=_fault_config(all_backends()[0]),
+            small_clean_blocks, "JS", "WNP", execution=_fault_config()
         )
-        stats = result.fault_stats
-        assert stats["retries"] == 0
-        assert stats["worker_crashes"] == 0
-        assert stats["chunk_timeouts"] == 0
-        assert stats["resumed_chunks"] == 0
-        assert stats["degraded"] == []
+        assert result.parallel_backend == "threads"
+        assert result.fault_stats == {
+            "retries": 0,
+            "chunk_timeouts": 0,
+            "resumed_chunks": 0,
+            "degraded": [],
+        }
 
     def test_serial_run_has_empty_fault_stats(self, small_clean_blocks):
         assert meta_block(small_clean_blocks, "JS", "WNP").fault_stats == {}
+
+
+class TestAbandonedChunks:
+    """A timed-out chunk's thread cannot be stopped, and the chunks still
+    in flight when it timed out keep running: none of them may leave a
+    shard in a spilled run that the manifest does not list."""
+
+    def _spilled_wnp(self, blocks, spill_dir, *faults):
+        with injected_faults(*faults):
+            return meta_block(
+                blocks,
+                "JS",
+                "WNP",
+                execution=ExecutionConfig(
+                    parallel=2,
+                    chunks=4,
+                    spill_dir=spill_dir,
+                    memory_budget=4096,
+                    chunk_timeout=0.3,
+                    backoff=0.0,
+                ),
+            )
+
+    def test_in_flight_chunks_leave_no_orphan_shard(
+        self, small_clean_blocks, serial_wnp, tmp_path
+    ):
+        # Chunk 0 times out at 0.3 s while chunk 1 is still running. Its
+        # abandoned copy fails after the sleep, so any orphan here would
+        # come from chunk 1 being re-run beside its own first copy.
+        result = self._spilled_wnp(
+            small_clean_blocks,
+            tmp_path,
+            Fault(op="delay", seconds=1.0, chunk=0, task="wnp"),
+            Fault(op="error", chunk=0, task="wnp"),
+            Fault(op="delay", seconds=0.5, chunk=1, task="wnp"),
+        )
+        assert list(result.comparisons) == serial_wnp
+        assert result.fault_stats["chunk_timeouts"] >= 1
+        _assert_no_orphan_shards(result)
+        result.comparisons.release()
+
+    def test_timed_out_chunk_leaves_no_orphan_shard(
+        self, small_clean_blocks, serial_wnp, tmp_path
+    ):
+        # The abandoned copy of chunk 0 finishes after its retry was
+        # adopted and writes a shard of its own.
+        result = self._spilled_wnp(
+            small_clean_blocks,
+            tmp_path,
+            Fault(op="delay", seconds=1.0, chunk=0, task="wnp"),
+        )
+        assert list(result.comparisons) == serial_wnp
+        assert result.fault_stats["chunk_timeouts"] >= 1
+        _assert_no_orphan_shards(result)
+        result.comparisons.release()
 
 
 # -- checkpoint / resume ------------------------------------------------------
@@ -336,14 +297,12 @@ def _interrupted_run(spill_dir: str, after: int) -> None:
     install_faults(
         FaultPlan((Fault(site="adopt", op="exit", after=after),))
     )
-    backend = "fork" if fork_available() else "shm-spawn"
     meta_block(
         _resume_blocks(),
         "JS",
         "WNP",
         execution=ExecutionConfig(
             parallel=2,
-            parallel_backend=backend,
             chunks=6,
             spill_dir=spill_dir,
             memory_budget=4096,
@@ -365,15 +324,11 @@ def _run_interrupted(spill_dir: Path, after: int = 2) -> Path:
         process.join(10)
         pytest.fail("interrupted run timed out")
     assert process.exitcode == 70, "the owner should hard-exit mid-adoption"
-    # A hard-killed owner on the shm-spawn backend never unlinks its
-    # segments — reclaim them the way an operator would (`repro clean`).
-    sweep_stale_segments()
     runs = list(spill_dir.glob("run-*"))
     assert len(runs) == 1
     return runs[0]
 
 
-@pytest.mark.skipif(not spawn_available(), reason="spawn start method unavailable")
 class TestCheckpointResume:
     @pytest.fixture(scope="class")
     def serial_pairs(self):
@@ -381,7 +336,7 @@ class TestCheckpointResume:
         return list(result.comparisons.pairs)
 
     def test_interrupted_run_resumes_bit_identical(
-        self, tmp_path, serial_pairs, shm_leak_check
+        self, tmp_path, serial_pairs
     ):
         run_dir = _run_interrupted(tmp_path / "spill")
         assert (run_dir / CHECKPOINT_NAME).is_file()
@@ -398,9 +353,7 @@ class TestCheckpointResume:
         resumed.comparisons.release()
         assert not run_dir.exists()
 
-    def test_corrupted_shard_is_reexecuted(
-        self, tmp_path, serial_pairs, shm_leak_check
-    ):
+    def test_corrupted_shard_is_reexecuted(self, tmp_path, serial_pairs):
         run_dir = _run_interrupted(tmp_path / "spill")
         checkpoint = read_run_checkpoint(run_dir)
         truncate_shard(run_dir / checkpoint["chunks"][0]["file"])
@@ -411,7 +364,7 @@ class TestCheckpointResume:
         assert resumed.fault_stats["resumed_chunks"] == 1
         resumed.comparisons.release()
 
-    def test_signature_mismatch_raises(self, tmp_path, shm_leak_check):
+    def test_signature_mismatch_raises(self, tmp_path):
         run_dir = _run_interrupted(tmp_path / "spill")
         checkpoint_path = run_dir / CHECKPOINT_NAME
         state = json.loads(checkpoint_path.read_text())
@@ -422,9 +375,7 @@ class TestCheckpointResume:
         # A usage error must not destroy the interrupted run's artifacts.
         assert checkpoint_path.is_file()
 
-    def test_resume_from_config_field(
-        self, tmp_path, serial_pairs, shm_leak_check
-    ):
+    def test_resume_from_config_field(self, tmp_path, serial_pairs):
         # The low-level path: resume_from on the ExecutionConfig instead of
         # the resume_run convenience wrapper.
         run_dir = _run_interrupted(tmp_path / "spill")
@@ -438,6 +389,21 @@ class TestCheckpointResume:
         )
         assert list(resumed.comparisons) == serial_pairs
         assert resumed.fault_stats["resumed_chunks"] >= 1
+        resumed.comparisons.release()
+
+    def test_stored_parallel_backend_is_ignored(self, tmp_path, serial_pairs):
+        # Checkpoints written while a pool backend could still be chosen
+        # carry that choice in their stored execution settings; resuming
+        # one runs on the thread pool, bit-identical to serial.
+        run_dir = _run_interrupted(tmp_path / "spill")
+        checkpoint_path = run_dir / CHECKPOINT_NAME
+        state = json.loads(checkpoint_path.read_text())
+        state["config"]["execution"]["parallel_backend"] = "shm-spawn"
+        checkpoint_path.write_text(json.dumps(state))
+        resumed = resume_run(_resume_blocks(), run_dir)
+        assert resumed.parallel_backend == "threads"
+        assert list(resumed.comparisons) == serial_pairs
+        assert resumed.fault_stats["resumed_chunks"] == 2
         resumed.comparisons.release()
 
 
@@ -503,34 +469,6 @@ class TestResumeValidation:
 
 
 class TestSweeps:
-    def test_sweeps_segment_of_dead_owner(self):
-        name = leak_shm_segment()
-        assert name in list_segments()
-        owner = segment_owner_pid(name)
-        assert owner is not None and not pid_alive(owner)
-        swept = sweep_stale_segments()
-        assert name in swept
-        assert name not in list_segments()
-
-    def test_dry_run_leaves_segment(self):
-        name = leak_shm_segment()
-        try:
-            assert name in sweep_stale_segments(dry_run=True)
-            assert name in list_segments()
-        finally:
-            segment = attach_segment(name)
-            segment.unlink()
-            segment.close()
-
-    def test_live_owner_segment_is_kept(self):
-        name = leak_shm_segment(pid=os.getpid())
-        try:
-            assert name not in sweep_stale_segments(dry_run=True)
-        finally:
-            segment = attach_segment(name)
-            segment.unlink()
-            segment.close()
-
     def test_sweeps_orphaned_run_directory(self, tmp_path):
         dead = tmp_path / "run-4194304-feed"  # pid far beyond pid_max
         dead.mkdir()

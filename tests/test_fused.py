@@ -304,7 +304,6 @@ class TestPhaseTimings:
             VectorizedEdgeWeighting(dirty_blocks, "JS"),
             workers=2,
             chunks=3,
-            backend="threads",
         )
         try:
             executor.prune(PRUNING_ALGORITHMS["ReWNP"]())
@@ -318,9 +317,8 @@ class TestPhaseTimings:
     def test_timings_reset_per_prune(self, dirty_blocks):
         executor = ParallelMetaBlockingExecutor(
             VectorizedEdgeWeighting(dirty_blocks, "JS"),
-            workers=2,
+            workers=1,
             chunks=3,
-            backend="in-process",
         )
         try:
             executor.prune(PRUNING_ALGORITHMS["WEP"]())
@@ -338,9 +336,7 @@ class TestPhaseTimings:
         result = meta_block(
             dirty_blocks,
             algorithm="ReCNP",
-            execution=ExecutionConfig(
-                parallel=2, parallel_backend="in-process"
-            ),
+            execution=ExecutionConfig(parallel=2),
         )
         assert set(result.phase_timings) == {
             "dispatch",
@@ -359,16 +355,12 @@ class TestAutoChunkingPipeline:
         auto = meta_block(
             dirty_blocks,
             algorithm="RcWNP",
-            execution=ExecutionConfig(
-                parallel=2, parallel_backend="threads"
-            ),
+            execution=ExecutionConfig(parallel=2),
         )
         even = meta_block(
             dirty_blocks,
             algorithm="RcWNP",
-            execution=ExecutionConfig(
-                parallel=2, parallel_backend="threads", chunk_size=4
-            ),
+            execution=ExecutionConfig(parallel=2, chunk_size=4),
         )
         serial = meta_block(dirty_blocks, algorithm="RcWNP")
         assert list(auto.comparisons) == list(serial.comparisons)

@@ -338,7 +338,7 @@ class TestBatchEquivalence:
             resolver,
             "JS",
             batch_algo,
-            execution=ExecutionConfig(parallel=2, parallel_backend="threads"),
+            execution=ExecutionConfig(parallel=2),
         )
         assert sorted(streaming.pairs) == sorted(batch.comparisons.pairs)
 
@@ -624,7 +624,7 @@ class TestMicroBatching:
             filtering_ratio=1.0,
             clean_clean=True,
             batch_size=16,
-            execution=ExecutionConfig(parallel=2, parallel_backend="threads"),
+            execution=ExecutionConfig(parallel=2),
         )
         for entity_id, profile in dataset.iter_profiles():
             source = dataset.source_of(entity_id)
@@ -682,7 +682,7 @@ class TestMicroBatchProperty:
             for _ in profiles
         ]
         execution = (
-            ExecutionConfig(parallel=2, parallel_backend="threads")
+            ExecutionConfig(parallel=2)
             if threads
             else None
         )
@@ -773,7 +773,7 @@ class TestQueryAndStats:
 
         from repro.core.execution import ExecutionConfig
 
-        execution = ExecutionConfig(parallel=2, parallel_backend="threads")
+        execution = ExecutionConfig(parallel=2)
         resolver = _resolver(batch_size=4, execution=execution)
         resolver.submit(_profile("a", "alpha beta"))
         stats = resolver.stats()

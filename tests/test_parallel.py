@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import warnings
 
 import pytest
@@ -16,24 +15,17 @@ from repro.core.parallel import (
     PARALLEL_BACKENDS,
     ParallelMetaBlockingExecutor,
     ParallelNodeCentricExecutor,
-    fork_available,
     parallel_prune,
     partition_ranges,
     resolve_workers,
-    spawn_available,
     supports_parallel,
 )
 from repro.core.pipeline import meta_block
 from repro.core.pruning import PRUNING_ALGORITHMS, PruningAlgorithm
 from repro.core.vectorized import VectorizedEdgeWeighting
 from repro.datamodel.blocks import Block, BlockCollection
-from repro.utils.shm import list_segments
 
 ALL_ALGORITHMS = sorted(PARALLEL_ALGORITHMS)
-
-needs_spawn = pytest.mark.skipif(
-    not spawn_available(), reason="spawn start method unavailable"
-)
 
 
 class TestPartitioning:
@@ -148,181 +140,17 @@ class TestMatchesSerial:
         assert executor.prune(algorithm).pairs == serial.pairs
 
 
-@pytest.fixture(scope="module")
-def shm_js_executor(example_blocks):
-    """One persistent shm-spawn pool shared by every JS algorithm test."""
-    executor = ParallelMetaBlockingExecutor(
-        OptimizedEdgeWeighting(example_blocks, "JS"),
-        workers=2,
-        chunks=3,
-        backend="shm-spawn",
-    )
-    yield executor
-    executor.close()
-
-
-@pytest.fixture(scope="module")
-def shm_ejs_executor(example_blocks):
-    """Shm-spawn pool under EJS, exercising the staged degree arrays."""
-    executor = ParallelMetaBlockingExecutor(
-        OptimizedEdgeWeighting(example_blocks, "EJS"),
-        workers=2,
-        chunks=3,
-        backend="shm-spawn",
-    )
-    yield executor
-    executor.close()
-
-
-@needs_spawn
-class TestSharedMemoryBackend:
-    """The shm-spawn backend reproduces serial output for every family."""
-
-    @pytest.mark.parametrize("name", ALL_ALGORITHMS)
-    def test_matches_serial(self, example_blocks, shm_js_executor, name):
-        algorithm = PRUNING_ALGORITHMS[name]()
-        serial = algorithm.prune(OptimizedEdgeWeighting(example_blocks, "JS"))
-        assert shm_js_executor.backend == "shm-spawn"
-        assert shm_js_executor.prune(algorithm).pairs == serial.pairs
-
-    @pytest.mark.parametrize("name", ALL_ALGORITHMS)
-    def test_ejs_degrees_staged_to_spawn_workers(
-        self, example_blocks, shm_ejs_executor, name
-    ):
-        algorithm = PRUNING_ALGORITHMS[name]()
-        serial = algorithm.prune(OptimizedEdgeWeighting(example_blocks, "EJS"))
-        assert shm_ejs_executor.prune(algorithm).pairs == serial.pairs
-
-    def test_vectorized_backend(self, example_blocks):
-        with ParallelMetaBlockingExecutor(
-            VectorizedEdgeWeighting(example_blocks, "JS"),
-            workers=2,
-            backend="shm-spawn",
-        ) as executor:
-            for name in ALL_ALGORITHMS:
-                algorithm = PRUNING_ALGORITHMS[name]()
-                serial = algorithm.prune(
-                    VectorizedEdgeWeighting(example_blocks, "JS")
-                )
-                assert executor.prune(algorithm).pairs == serial.pairs
-
-    def test_dirty_synthetic(self, tiny_dirty_blocks):
-        blocks = tiny_dirty_blocks.sorted_by_cardinality()
-        with ParallelMetaBlockingExecutor(
-            OptimizedEdgeWeighting(blocks, "JS"),
-            workers=2,
-            chunks=7,
-            backend="shm-spawn",
-        ) as executor:
-            for name in ALL_ALGORITHMS:
-                algorithm = PRUNING_ALGORITHMS[name]()
-                serial = algorithm.prune(OptimizedEdgeWeighting(blocks, "JS"))
-                assert executor.prune(algorithm).pairs == serial.pairs
-
-    def test_clean_clean_synthetic(self, small_clean_blocks):
-        blocks = small_clean_blocks.sorted_by_cardinality()
-        with ParallelMetaBlockingExecutor(
-            OptimizedEdgeWeighting(blocks, "JS"),
-            workers=2,
-            chunks=5,
-            backend="shm-spawn",
-        ) as executor:
-            for name in ("CEP", "WEP", "RcCNP"):
-                algorithm = PRUNING_ALGORITHMS[name]()
-                serial = algorithm.prune(OptimizedEdgeWeighting(blocks, "JS"))
-                assert executor.prune(algorithm).pairs == serial.pairs
-
-
-@needs_spawn
-class TestSegmentLifecycle:
-    """Owned segments are unlinked on every exit path."""
-
-    def test_close_unlinks_segments(self, example_blocks, shm_leak_check):
-        executor = ParallelMetaBlockingExecutor(
-            OptimizedEdgeWeighting(example_blocks, "JS"),
-            workers=2,
-            backend="shm-spawn",
-        )
-        executor.prune(PRUNING_ALGORITHMS["ReWNP"]())
-        assert executor._shared_index is not None  # pool + index still live
-        executor.close()
-        executor.close()  # idempotent
-
-    def test_context_manager_unlinks_segments(
-        self, example_blocks, shm_leak_check
-    ):
-        with ParallelMetaBlockingExecutor(
-            OptimizedEdgeWeighting(example_blocks, "JS"),
-            workers=2,
-            backend="shm-spawn",
-        ) as executor:
-            executor.prune(PRUNING_ALGORITHMS["CEP"]())
-
-    def test_error_path_unlinks_segments(self, example_blocks, shm_leak_check):
-        class CustomPruning(PruningAlgorithm):
-            def prune(self, weighting):
-                raise NotImplementedError
-
-        executor = ParallelMetaBlockingExecutor(
-            OptimizedEdgeWeighting(example_blocks, "JS"),
-            workers=2,
-            backend="shm-spawn",
-        )
-        try:
-            executor.prune(PRUNING_ALGORITHMS["WEP"]())  # pool + index live
-            with pytest.raises(ValueError):
-                executor.prune(CustomPruning())
-        finally:
-            executor.close()
-
-    def test_del_backstop_unlinks_segments(self, example_blocks, shm_leak_check):
-        executor = ParallelMetaBlockingExecutor(
-            OptimizedEdgeWeighting(example_blocks, "JS"),
-            workers=2,
-            backend="shm-spawn",
-        )
-        executor.prune(PRUNING_ALGORITHMS["WNP"]())
-        del executor
-        gc.collect()
-
-    def test_stage_packs_destroyed_per_map(self, example_blocks):
-        executor = ParallelMetaBlockingExecutor(
-            OptimizedEdgeWeighting(example_blocks, "EJS"),
-            workers=2,
-            backend="shm-spawn",
-        )
-        try:
-            before = list_segments()
-            executor.prune(PRUNING_ALGORITHMS["RcWNP"]())
-            # Only the index segment may outlive the maps; every staged
-            # criteria pack must already be unlinked.
-            spec = executor._shared_index.spec.pack
-            assert (list_segments() - before) <= {spec.name}
-        finally:
-            executor.close()
-
-
 class TestBackendResolution:
-    def test_unknown_backend_rejected(self, example_blocks):
-        with pytest.raises(ValueError, match="unknown parallel backend"):
-            ParallelMetaBlockingExecutor(
-                OptimizedEdgeWeighting(example_blocks, "JS"),
-                workers=2,
-                backend="greenlets",
-            )
-
     def test_single_worker_resolves_in_process(self, example_blocks):
         executor = ParallelMetaBlockingExecutor(
-            OptimizedEdgeWeighting(example_blocks, "JS"),
-            workers=1,
-            backend="fork",
+            OptimizedEdgeWeighting(example_blocks, "JS"), workers=1
         )
         assert executor.backend == "in-process"
         assert executor.pool_backend == "in-process"
 
     def test_auto_selects_threads(self, example_blocks):
-        # Threads are available on every platform, so auto never needs a
-        # start method — and never warns.
+        # Two workers on a multi-node graph always resolve to threads, and
+        # the choice never warns.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             executor = ParallelMetaBlockingExecutor(
@@ -331,44 +159,22 @@ class TestBackendResolution:
         assert executor.backend == "threads"
         executor.close()
 
-    @needs_spawn
-    def test_forced_spawn_auto_still_threads(self, example_blocks, monkeypatch):
-        # REPRO_FORCE_SPAWN only hides fork; the auto choice is threads
-        # either way.
-        monkeypatch.setenv("REPRO_FORCE_SPAWN", "1")
+    def test_empty_graph_resolves_in_process(self):
         executor = ParallelMetaBlockingExecutor(
-            OptimizedEdgeWeighting(example_blocks, "JS"), workers=2
+            OptimizedEdgeWeighting(BlockCollection([], 0), "JS"), workers=2
         )
-        assert executor.backend == "threads"
-        executor.close()
+        assert executor.backend == "in-process"
 
-    @needs_spawn
-    def test_forced_spawn_fork_request_falls_back(
-        self, example_blocks, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_FORCE_SPAWN", "1")
-        with pytest.warns(RuntimeWarning, match="falling back to 'shm-spawn'"):
-            executor = ParallelMetaBlockingExecutor(
-                OptimizedEdgeWeighting(example_blocks, "JS"),
-                workers=2,
-                backend="fork",
-            )
-        assert executor.backend == "shm-spawn"
-        executor.close()
-
-    def test_explicit_backends_honoured(self, example_blocks):
-        for backend in PARALLEL_BACKENDS:
-            if backend == "shm-spawn" and not spawn_available():
-                continue
-            if backend == "fork" and not fork_available():
-                continue
-            executor = ParallelMetaBlockingExecutor(
-                OptimizedEdgeWeighting(example_blocks, "JS"),
-                workers=2,
-                backend=backend,
-            )
-            assert executor.backend == backend
-            executor.close()
+    def test_close_joins_the_pool(self, example_blocks):
+        with ParallelMetaBlockingExecutor(
+            OptimizedEdgeWeighting(example_blocks, "JS"), workers=2
+        ) as executor:
+            executor.prune(PRUNING_ALGORITHMS["ReWNP"]())
+            pool = executor._thread_pool
+            assert pool is not None
+        assert executor._thread_pool is None
+        assert all(not thread.is_alive() for thread in pool._threads)
+        executor.close()  # idempotent
 
 
 class TestPhase1Helpers:
@@ -491,58 +297,6 @@ class TestPipelineIntegration:
         assert parallel.effective_workers == 2
         assert parallel.parallel_backend in PARALLEL_BACKENDS
 
-    def test_meta_block_rejects_unknown_parallel_backend(
-        self, small_dirty_blocks
-    ):
-        with pytest.raises(ValueError, match="unknown parallel backend"):
-            meta_block(
-                small_dirty_blocks, parallel=2, parallel_backend="greenlets"
-            )
-
-    @needs_spawn
-    def test_meta_block_explicit_shm_spawn(self, small_dirty_blocks):
-        serial = meta_block(small_dirty_blocks, scheme="JS", algorithm="RcWNP")
-        result = meta_block(
-            small_dirty_blocks,
-            scheme="JS",
-            algorithm="RcWNP",
-            parallel=2,
-            parallel_backend="shm-spawn",
-        )
-        assert result.effective_workers == 2
-        assert result.parallel_backend == "shm-spawn"
-        assert result.comparisons.pairs == serial.comparisons.pairs
-
-    @needs_spawn
-    def test_meta_block_spawn_fallback_warns_once(
-        self, small_dirty_blocks, monkeypatch, shm_leak_check
-    ):
-        """Forced spawn platform: an explicit fork request falls back to
-        shm-spawn, with exactly one RuntimeWarning per meta_block call (not
-        one per chunk) and the chosen backend recorded in the result
-        metadata."""
-        monkeypatch.setenv("REPRO_FORCE_SPAWN", "1")
-        serial = meta_block(small_dirty_blocks, scheme="JS", algorithm="RcWNP")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = meta_block(
-                small_dirty_blocks,
-                scheme="JS",
-                algorithm="RcWNP",
-                parallel=2,
-                parallel_backend="fork",
-            )
-        fallbacks = [
-            entry
-            for entry in caught
-            if issubclass(entry.category, RuntimeWarning)
-            and "shm-spawn" in str(entry.message)
-        ]
-        assert len(fallbacks) == 1
-        assert result.effective_workers == 2
-        assert result.parallel_backend == "shm-spawn"
-        assert result.comparisons.pairs == serial.comparisons.pairs
-
     def test_meta_block_auto_selects_threads(self, small_dirty_blocks):
         serial = meta_block(small_dirty_blocks, scheme="JS", algorithm="RcWNP")
         result = meta_block(
@@ -572,20 +326,34 @@ class TestPipelineIntegration:
 
     def test_workflow_round_trips_parallel(self):
         from repro import TokenBlocking
+        from repro.core.execution import ExecutionConfig
         from repro.core.pipeline import MetaBlockingWorkflow
 
         workflow = MetaBlockingWorkflow(
             TokenBlocking(),
             algorithm="RcWNP",
-            parallel=2,
-            parallel_backend="shm-spawn",
-            chunk_size=1024,
+            execution=ExecutionConfig(parallel=2, chunk_size=1024),
         )
         config = workflow.to_config()
         assert config["parallel"] == 2
-        assert config["parallel_backend"] == "shm-spawn"
         assert config["chunk_size"] == 1024
+        assert "parallel_backend" not in config
         restored = MetaBlockingWorkflow.from_config(config)
         assert restored.parallel == 2
-        assert restored.parallel_backend == "shm-spawn"
         assert restored.chunk_size == 1024
+
+    def test_workflow_config_with_parallel_backend_still_loads(self):
+        # Configs saved while the pool backend was a setting carry the
+        # key; loading one ignores it, since the worker count decides.
+        from repro.core.pipeline import MetaBlockingWorkflow
+
+        restored = MetaBlockingWorkflow.from_config(
+            {
+                "blocking": "token",
+                "algorithm": "RcWNP",
+                "parallel": 2,
+                "parallel_backend": "shm-spawn",
+            }
+        )
+        assert restored.parallel == 2
+        assert not hasattr(restored.execution, "parallel_backend")

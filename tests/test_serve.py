@@ -164,7 +164,7 @@ class TestVerbs:
         assert json.dumps(stats)  # the whole payload is JSON-serialisable
 
     def test_stats_execution_round_trips(self, tmp_path):
-        execution = ExecutionConfig(parallel=2, parallel_backend="threads")
+        execution = ExecutionConfig(parallel=2)
         instance = ResolverServer(
             _resolver(execution=execution),
             path=tmp_path / "er.sock",

@@ -1,7 +1,7 @@
 """End-to-end out-of-core tests: spilled runs are bit-identical to eager.
 
-Covers the full matrix the tentpole promises: every pruning algorithm,
-serial and all three parallel pool backends, eager versus spilled output —
+Covers the full matrix: every pruning algorithm, serial and both parallel
+executor backends (thread pool, in-process), eager versus spilled output —
 the retained comparison sequence must be identical everywhere. Plus the
 failure path: a crash mid-spill leaves no artifacts behind.
 """
@@ -14,27 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.block_filtering import BlockFiltering
 from repro.core.edge_weighting import OptimizedEdgeWeighting
 from repro.core.execution import ExecutionConfig
-from repro.core.parallel import (
-    PARALLEL_BACKENDS,
-    ParallelMetaBlockingExecutor,
-    fork_available,
-    spawn_available,
-)
+from repro.core.parallel import PARALLEL_BACKENDS, ParallelMetaBlockingExecutor
 from repro.core.pipeline import meta_block
 from repro.core.pruning import PRUNING_ALGORITHMS
 from repro.datamodel.sinks import ComparisonView, SpillSink, load_spilled_view
 
 ALL_ALGORITHMS = sorted(PRUNING_ALGORITHMS)
-
-
-def backend_available(backend: str) -> bool:
-    if backend == "fork":
-        return fork_available()
-    if backend == "shm-spawn":
-        return spawn_available()
-    return True
 
 
 def run(blocks, algorithm, execution=None, **kwargs):
@@ -89,37 +77,37 @@ class TestSerialSpill:
 
 
 class TestParallelSpill:
-    @pytest.mark.parametrize(
-        "backend",
-        [
-            pytest.param(
-                backend,
-                marks=pytest.mark.skipif(
-                    not backend_available(backend),
-                    reason=f"{backend} start method unavailable",
-                ),
-            )
-            for backend in PARALLEL_BACKENDS
-        ],
-    )
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_spilled_parallel_matches_eager_serial(
-        self, small_clean_blocks, tmp_path, algorithm, backend, shm_leak_check
+        self, small_clean_blocks, tmp_path, algorithm, backend
     ):
         eager = run(small_clean_blocks, algorithm)
-        spilled = run(
-            small_clean_blocks,
-            algorithm,
-            execution=ExecutionConfig(
-                parallel=2,
-                parallel_backend=backend,
-                spill_dir=tmp_path,
-                memory_budget=1 << 14,
-            ),
-        )
-        assert spilled.parallel_backend == backend
-        assert spilled.spill_manifest is not None
-        assert list(spilled.comparisons) == list(eager.comparisons)
+        if backend == "threads":
+            spilled = run(
+                small_clean_blocks,
+                algorithm,
+                execution=ExecutionConfig(
+                    parallel=2, spill_dir=tmp_path, memory_budget=1 << 14
+                ),
+            )
+            assert spilled.parallel_backend == backend
+            comparisons = spilled.comparisons
+        else:
+            # meta_block runs a single worker serially, so the in-process
+            # chunked path is driven through the executor, on the same
+            # filtered graph meta_block builds.
+            weighting = OptimizedEdgeWeighting(
+                BlockFiltering(0.8).process(small_clean_blocks), "ECBS"
+            )
+            with ParallelMetaBlockingExecutor(weighting, workers=1) as executor:
+                assert executor.backend == backend
+                comparisons = executor.prune(
+                    PRUNING_ALGORITHMS[algorithm](),
+                    sink=SpillSink(spill_dir=tmp_path, memory_budget=1 << 14),
+                )
+        assert comparisons.spill_manifest is not None
+        assert list(comparisons) == list(eager.comparisons)
 
     def test_workers_write_shards_directly(self, small_clean_blocks, tmp_path):
         # The owner never re-buffers worker output when spilling: chunk
