@@ -9,9 +9,9 @@ thread pool. The execution backend follows from the worker count alone:
 
 * ``"threads"`` — two or more workers on a graph of two or more nodes: a
   :class:`~concurrent.futures.ThreadPoolExecutor` over the chunk kernels.
-  The columnar kernels spend their time inside GIL-releasing numpy ops,
-  so chunks run in parallel with no serialization and no copy of the
-  Entity Index; each pool thread checks out its own weighting-backend
+  The columnar kernels spend much of their time inside GIL-releasing
+  numpy ops, so chunks can overlap, with no serialization and no copy of
+  the Entity Index; each pool thread checks out its own weighting-backend
   clone (built around the parent's Entity Index with
   ``EdgeWeighting._from_shared_index``) so the ScanCount scratch arrays
   are never shared between threads.
