@@ -26,6 +26,8 @@ over the CSR kept for the scalar backends and existing callers.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.datamodel.blocks import BlockCollection
@@ -175,48 +177,25 @@ class EntityIndex:
     epoch = 0
 
     def __init__(self, blocks: BlockCollection) -> None:
-        self.blocks = blocks
-        self.is_bilateral = blocks.is_bilateral
-        num_blocks = len(blocks)
-
-        # -- block -> members CSR (one per side) ---------------------------
-        side1 = [
-            np.asarray(block.entities1, dtype=np.int64) for block in blocks
-        ]
-        sizes1 = np.fromiter(
-            (piece.size for piece in side1), dtype=np.int64, count=num_blocks
-        )
-        self.member_indptr1 = np.zeros(num_blocks + 1, dtype=np.int64)
-        np.cumsum(sizes1, out=self.member_indptr1[1:])
-        self.members1 = (
-            np.concatenate(side1) if side1 else np.empty(0, dtype=np.int64)
-        )
-        if self.is_bilateral:
-            side2 = [
-                np.asarray(
-                    block.entities2 if block.entities2 is not None else (),
-                    dtype=np.int64,
-                )
-                for block in blocks
-            ]
-            sizes2 = np.fromiter(
-                (piece.size for piece in side2), dtype=np.int64, count=num_blocks
+        def flatten(sides: list) -> tuple[np.ndarray, np.ndarray]:
+            indptr = np.zeros(len(sides) + 1, dtype=np.int64)
+            np.cumsum(
+                np.fromiter(map(len, sides), dtype=np.int64, count=len(sides)),
+                out=indptr[1:],
             )
-            self.member_indptr2 = np.zeros(num_blocks + 1, dtype=np.int64)
-            np.cumsum(sizes2, out=self.member_indptr2[1:])
-            self.members2 = (
-                np.concatenate(side2) if side2 else np.empty(0, dtype=np.int64)
+            members = np.fromiter(
+                chain.from_iterable(sides), dtype=np.int64, count=int(indptr[-1])
             )
-        else:
-            self.member_indptr2 = self.member_indptr1
-            self.members2 = self.members1
+            return indptr, members
 
-        cardinalities = np.fromiter(
-            (block.cardinality for block in blocks),
-            dtype=np.float64,
-            count=num_blocks,
+        self._derive(
+            blocks,
+            blocks.num_entities,
+            flatten([block.entities1 for block in blocks]),
+            flatten([block.entities2 or () for block in blocks])
+            if blocks.is_bilateral
+            else None,
         )
-        self._derive(blocks.num_entities, cardinalities)
 
     @classmethod
     def from_blocks(cls, blocks: BlockCollection) -> "EntityIndex":
@@ -244,40 +223,44 @@ class EntityIndex:
         resulting index has ``blocks = None``; accessors fall back to the
         CSR arrays.
         """
-        self = cls.__new__(cls)
-        self.blocks = None
-        self.is_bilateral = is_bilateral
-        self.member_indptr1 = np.ascontiguousarray(member_indptr1, dtype=np.int64)
-        self.members1 = np.ascontiguousarray(members1, dtype=np.int64)
+        side2 = None
         if is_bilateral:
             if member_indptr2 is None or members2 is None:
                 raise ValueError("bilateral CSR requires side-2 member arrays")
-            self.member_indptr2 = np.ascontiguousarray(
-                member_indptr2, dtype=np.int64
-            )
-            self.members2 = np.ascontiguousarray(members2, dtype=np.int64)
-        else:
-            self.member_indptr2 = self.member_indptr1
-            self.members2 = self.members1
-        sizes1 = np.diff(self.member_indptr1)
-        if is_bilateral:
-            sizes2 = np.diff(self.member_indptr2)
-            cardinalities = (sizes1 * sizes2).astype(np.float64)
-        else:
-            cardinalities = (sizes1 * (sizes1 - 1) // 2).astype(np.float64)
-        self._derive(num_entities, cardinalities)
+            side2 = (member_indptr2, members2)
+        self = cls.__new__(cls)
+        self._derive(None, num_entities, (member_indptr1, members1), side2)
         return self
 
-    def _derive(self, num_entities: int, cardinalities: np.ndarray) -> None:
-        """Derive the entity → blocks CSR and statistics from member arrays."""
+    def _derive(
+        self,
+        blocks: BlockCollection | None,
+        num_entities: int,
+        side1: tuple[np.ndarray, np.ndarray],
+        side2: tuple[np.ndarray, np.ndarray] | None,
+    ) -> None:
+        """Derive the index from block → member CSR ``(indptr, members)``
+        pairs, ``side2`` for bilateral collections only: the entity →
+        blocks CSR, cardinalities and statistics. Both constructors run
+        it, so their arrays agree bit for bit (collections that mix
+        unilateral and bilateral blocks aside)."""
+        self.blocks = blocks
+        self.is_bilateral = side2 is not None
         self.num_entities = num_entities
         self._cooccurrence_lengths: np.ndarray | None = None
+        self.member_indptr1, self.members1 = (
+            np.ascontiguousarray(array, dtype=np.int64) for array in side1
+        )
         num_blocks = self.member_indptr1.size - 1
         sizes1 = np.diff(self.member_indptr1)
 
         # -- entity -> blocks CSR ------------------------------------------
-        if self.is_bilateral:
+        if side2 is not None:
+            self.member_indptr2, self.members2 = (
+                np.ascontiguousarray(array, dtype=np.int64) for array in side2
+            )
             sizes2 = np.diff(self.member_indptr2)
+            cardinalities = (sizes1 * sizes2).astype(np.float64)
             entities = np.concatenate((self.members1, self.members2))
             positions = np.concatenate(
                 (
@@ -286,6 +269,9 @@ class EntityIndex:
                 )
             )
         else:
+            self.member_indptr2 = self.member_indptr1
+            self.members2 = self.members1
+            cardinalities = (sizes1 * (sizes1 - 1) // 2).astype(np.float64)
             entities = self.members1
             positions = np.repeat(np.arange(num_blocks, dtype=np.int64), sizes1)
         # Sort assignments by (entity, position) so every entity's block
@@ -321,6 +307,11 @@ class EntityIndex:
     def num_blocks(self) -> int:
         """``|B|`` — number of blocks in the indexed collection."""
         return self.member_indptr1.size - 1
+
+    @property
+    def aggregate_size(self) -> int:
+        """``sum(|b|)`` — total block assignments, one per CSR entry."""
+        return int(self.block_indices.size)
 
     @property
     def _block_lists(self) -> list[list[int]]:

@@ -286,44 +286,34 @@ def topk_per_segment(group: NodeGroup, k: int) -> tuple[np.ndarray, np.ndarray]:
     segments = np.repeat(
         np.arange(counts.size, dtype=np.int64), counts
     )
-    # When every segment's neighbors are already ascending (CSR-native
-    # neighbourhoods are), position order doubles as the id tie-break and
-    # the per-neighbor sort pass can be skipped entirely.
-    if total > 1:
-        ascending = np.diff(group.neighbors) > 0
-        if counts.size > 1:
-            ascending[group.offsets[1:-1] - 1] = True
-        presorted = bool(ascending.all())
-    else:
-        presorted = True
+    # Position order doubles as the neighbor tie-break once every segment's
+    # neighbors ascend. CSR-native neighbourhoods already do; others
+    # (discovery order) get one stable sort of the composite key
+    # ``segment * stride + neighbor``, the permutation ``perm``.
+    ascending = np.diff(group.neighbors) > 0
+    ascending[group.offsets[1:-1] - 1] = True
+    perm = None
+    if not ascending.all():
+        stride = int(group.neighbors.max()) + 1
+        perm = np.argsort(segments * stride + group.neighbors, kind="stable")
     if k >= int(counts.max()):
-        if presorted:
-            return np.arange(total, dtype=np.int64), segments
-        reorder = np.lexsort((group.neighbors, segments))
-        return reorder, segments[reorder]
-    # Stable sort by (segment, weight, neighbor): within a segment the last
-    # k entries are the top-k, boundary ties resolved toward larger ids —
-    # the heap's descending (score, item) rule. Composed from stable
-    # argsorts (cheaper than one full-width lexsort): position order after
-    # the optional neighbor pre-pass is the tie-break, then by weight, then
-    # regrouped by segment.
-    if presorted:
-        perm = None
-        weights = group.weights
+        selected = np.arange(total, dtype=np.int64)
     else:
-        perm = np.lexsort((group.neighbors, segments))
-        weights = group.weights[perm]
-    by_weight = np.argsort(weights, kind="stable")
-    order = by_weight[np.argsort(segments[by_weight], kind="stable")]
-    rank = np.arange(total, dtype=np.int64) - np.repeat(
-        group.offsets[:-1], counts
-    )
-    selected = order[rank >= np.repeat(counts - k, counts)]
+        weights = group.weights if perm is None else group.weights[perm]
+        # Stable sort by (segment, weight, position): within a segment the
+        # last k entries are the top-k, boundary ties resolved toward
+        # larger ids — the heap's descending (score, item) rule. Composed
+        # from stable argsorts (cheaper than one full-width lexsort), then
+        # put back in position order.
+        by_weight = np.argsort(weights, kind="stable")
+        order = by_weight[np.argsort(segments[by_weight], kind="stable")]
+        rank = np.arange(total, dtype=np.int64) - np.repeat(
+            group.offsets[:-1], counts
+        )
+        selected = np.sort(order[rank >= np.repeat(counts - k, counts)])
     if perm is not None:
         selected = perm[selected]
-    chosen_segments = segments[selected]
-    reorder = np.lexsort((group.neighbors[selected], chosen_segments))
-    return selected[reorder], chosen_segments[reorder]
+    return selected, segments[selected]
 
 
 def select_topk_neighbors(

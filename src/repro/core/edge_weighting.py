@@ -20,11 +20,16 @@ property-based tests assert this), so every pruning algorithm runs unchanged
 on either.
 
 Bulk consumers read whole node chunks through one method,
-:meth:`EdgeWeighting.neighborhood_batch`. Algorithm 3 runs its ScanCount per
-node as above but evaluates the weighting scheme once per chunk
-(:meth:`~repro.core.weights.WeightingScheme.weight_array`), so no Python call
-is made per edge; :func:`weight_and_prune_chunks` derives each chunk's slice
-of the distinct-edge stream from the same arrays.
+:meth:`EdgeWeighting.neighborhood_batch`. Both fast backends serve it from
+one chunk-count kernel, :meth:`EdgeWeighting._count_chunk`: Algorithm 3's
+ScanCount for a whole chunk at once, in numpy (one int64 sort groups the
+chunk's ``(segment, neighbour)`` co-occurrence keys), then one
+:meth:`~repro.core.weights.WeightingScheme.weight_array` call per chunk, so
+no Python step runs per co-occurrence or per edge. The per-node ScanCount
+above stays for ``neighborhood()``, ``iter_edges()`` and
+``count_neighbors()``, and is the oracle the kernel is tested against.
+:func:`weight_and_prune_chunks` derives each chunk's slice of the
+distinct-edge stream from the same arrays.
 """
 
 from __future__ import annotations
@@ -186,9 +191,25 @@ class EdgeWeighting(ABC):
         ``smaller < larger`` always holds.
         """
 
-    @abstractmethod
     def _compute_degrees(self) -> None:
         """Populate ``_degrees`` and ``_total_edges``."""
+        self._store_degrees(self._degree_runs(self.nodes()))
+
+    def _degree_runs(self, entities) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(run, degrees)`` per node run of :meth:`neighborhood_chunks`:
+        the segment lengths of :meth:`_count_chunk`."""
+        for run in self._node_runs(entities):
+            yield run, np.diff(self._count_chunk(run, ascending=True)[0])
+
+    def _store_degrees(self, runs) -> None:
+        """Cache the degrees of ``(run, degrees)`` pairs; others are 0."""
+        degrees = np.zeros(self.num_entities, dtype=np.int64)
+        for run, lengths in runs:
+            degrees[run] = lengths
+        self._degrees_array = degrees
+        self._degrees = degrees.tolist()
+        # Every edge is discovered from both endpoints.
+        self._total_edges = int(degrees.sum()) // 2
 
     # -- columnar bulk API ---------------------------------------------------
     #
@@ -236,6 +257,13 @@ class EdgeWeighting(ABC):
         neighbourhoods and are skipped. Boundaries only bound memory and
         amortise the kernel's per-call cost; they never change a result.
         """
+        for run in self._node_runs(entities, chunk_size):
+            yield self.neighborhood_batch(run)
+
+    def _node_runs(
+        self, entities, chunk_size: int | None = None
+    ) -> Iterator[np.ndarray]:
+        """The runs of :meth:`neighborhood_chunks`, unweighted."""
         size = chunk_size if chunk_size and chunk_size > 0 else DEFAULT_CHUNK_SIZE
         entities = np.asarray(entities, dtype=np.int64)
         lengths = self.index.cooccurrence_lengths(entities)
@@ -246,8 +274,74 @@ class EdgeWeighting(ABC):
         while start < entities.size:
             reach = (int(ends[start - 1]) if start else 0) + size
             stop = int(np.searchsorted(ends, reach)) + 1
-            yield self.neighborhood_batch(entities[start:stop])
+            yield entities[start:stop]
             start = stop
+
+    def _count_chunk(
+        self, entities: np.ndarray, ascending: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Algorithm 3's ScanCount for a whole node chunk, in numpy.
+
+        Returns ``(offsets, neighbors, counts, arcs_sums)``: segment ``i``
+        holds the distinct neighbours of ``entities[i]``, ascending or, with
+        ``ascending=False``, in the order of their first co-occurrence in
+        the gather (``B_i`` ascending, then members in block order), which
+        is the order :meth:`OptimizedEdgeWeighting._scan` meets them in.
+        ``counts`` are ``|B_ij|``; ARCS sums (zeros for other schemes) are
+        added in gather order, the scan's order, so the float bits match.
+        Nothing is weighted, so the degree pass can run on it.
+        """
+        n = int(entities.size)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        ids, positions, gather_offsets = self.index.cooccurrence_arrays_multi(
+            entities
+        )
+        if ids.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return offsets, empty, empty, np.empty(0, dtype=np.float64)
+        stride = np.int64(max(self.num_entities, 1))
+        keys = (
+            np.repeat(np.arange(n, dtype=np.int64), np.diff(gather_offsets))
+            * stride
+            + ids
+        )
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        counts = np.diff(starts, append=keys.size)
+        keys = keys[starts]
+        if self.scheme.uses_arcs_sum:
+            groups = np.empty(order.size, dtype=np.int64)
+            groups[order] = np.cumsum(first) - 1
+            arcs = np.bincount(
+                groups,
+                weights=self.index.inverse_cardinality_array[positions],
+                minlength=starts.size,
+            )
+        else:
+            arcs = np.zeros(starts.size, dtype=np.float64)
+        if not ascending:
+            # Each group's first gather position; segments are contiguous
+            # in the gather, so this order also keeps them in place.
+            found = np.argsort(np.minimum.reduceat(order, starts))
+            keys, counts, arcs = keys[found], counts[found], arcs[found]
+        segments = keys // stride
+        np.cumsum(np.bincount(segments, minlength=n), out=offsets[1:])
+        return offsets, keys - segments * stride, counts, arcs
+
+    def _counted_batch(self, entities, ascending: bool) -> NeighborhoodBatch:
+        """:meth:`neighborhood_batch` from :meth:`_count_chunk`, weighted by
+        one :meth:`_batch_weights` call."""
+        self._prepare_scheme_inputs()
+        entities = np.ascontiguousarray(entities, dtype=np.int64)
+        offsets, neighbors, counts, arcs = self._count_chunk(entities, ascending)
+        weights = self._batch_weights(
+            np.repeat(entities, np.diff(offsets)), neighbors, counts, arcs
+        )
+        return NeighborhoodBatch(entities, offsets, neighbors, counts, weights)
 
     def emitters(self, entities) -> np.ndarray:
         """The entities of ``entities`` that emit distinct edges.
@@ -315,8 +409,8 @@ class EdgeWeighting(ABC):
         """``|v_entity|`` — distinct co-occurring entities (the node degree).
 
         A pure graph statistic: unlike :meth:`neighborhood` it never touches
-        weights, so it is safe to call while degrees are still unknown (the
-        EJS bootstrap) and cheap enough for a parallel degree pass.
+        weights, so it is safe to call while degrees are still unknown. The
+        degree passes read the same counts per chunk (:meth:`_degree_runs`).
         """
         seen: set[int] = set()
         index = self.index
@@ -471,47 +565,10 @@ class OptimizedEdgeWeighting(EdgeWeighting):
         ]
 
     def neighborhood_batch(self, entities) -> NeighborhoodBatch:
-        """ScanCount per node, one ``weight_array`` call per batch.
-
-        Each node's scan leaves its neighbours' shared-block counts (and
-        ARCS sums) in the scratch arrays; they are copied out before the
-        next scan reuses them, and the whole batch is weighted at once.
-        """
-        self._prepare_scheme_inputs()
-        entities = np.ascontiguousarray(entities, dtype=np.int64)
-        common, arcs = self._common, self._arcs
-        accumulate_arcs = self.scheme.uses_arcs_sum
-        neighbors: list[int] = []
-        counts: list[int] = []
-        sums: list[float] = []
-        offsets = [0]
-        for entity in entities.tolist():
-            found = self._scan(entity)
-            neighbors += found
-            counts += map(common.__getitem__, found)
-            if accumulate_arcs:
-                sums += map(arcs.__getitem__, found)
-            offsets.append(len(neighbors))
-        offset_array = np.array(offsets, dtype=np.int64)
-        neighbor_array = np.array(neighbors, dtype=np.int64)
-        count_array = np.array(counts, dtype=np.int64)
-        arcs_array = (
-            np.array(sums, dtype=np.float64)
-            if accumulate_arcs
-            else np.zeros(neighbor_array.size, dtype=np.float64)
-        )
-        # Free the lists before weighting: kept alive beside the arrays
-        # they would raise the chunk's peak memory.
-        del neighbors, counts, sums
-        weights = self._batch_weights(
-            np.repeat(entities, np.diff(offset_array)),
-            neighbor_array,
-            count_array,
-            arcs_array,
-        )
-        return NeighborhoodBatch(
-            entities, offset_array, neighbor_array, count_array, weights
-        )
+        """:meth:`_count_chunk` in discovery order, weighted once per batch:
+        each segment lists its neighbours as :meth:`_scan` first meets
+        them."""
+        return self._counted_batch(entities, ascending=False)
 
     def iter_edges(self) -> Iterator[Edge]:
         self._prepare_scheme_inputs()
@@ -533,17 +590,6 @@ class OptimizedEdgeWeighting(EdgeWeighting):
 
     def count_neighbors(self, entity: int) -> int:
         return len(self._scan(entity))
-
-    def _compute_degrees(self) -> None:
-        degrees = [0] * self.num_entities
-        total = 0
-        for entity in self.nodes():
-            degree = len(self._scan(entity))
-            degrees[entity] = degree
-            total += degree
-        # Every edge is discovered from both endpoints.
-        self._degrees = degrees
-        self._total_edges = total // 2
 
 
 class OriginalEdgeWeighting(EdgeWeighting):

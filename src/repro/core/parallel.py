@@ -966,13 +966,11 @@ class ParallelMetaBlockingExecutor:
             _concat(weights, dtype=np.float64),
         )
 
-    def _chunk_degrees(self, bounds: Range) -> list[tuple[int, int]]:
+    def _chunk_degrees(self, bounds: Range) -> list[tuple[np.ndarray, np.ndarray]]:
         """Node degrees for one range (pure graph statistic, weight-free)."""
-        weighting = self.weighting
-        return [
-            (entity, weighting.count_neighbors(entity))
-            for entity in self._nodes[bounds[0] : bounds[1]]
-        ]
+        return list(
+            self.weighting._degree_runs(self._nodes[bounds[0] : bounds[1]])
+        )
 
     # -- parallel counterparts of the serial algorithms ----------------------
 
@@ -1057,19 +1055,13 @@ class ParallelMetaBlockingExecutor:
         Populates the weighting backend's cached degrees exactly as its own
         serial ``_compute_degrees`` would; a no-op when already computed.
         """
-        weighting = self.weighting
-        if weighting._degrees is not None:
+        if self.weighting._degrees is not None:
             return
-        degrees = [0] * weighting.num_entities
-        total = 0
-        for chunk in self._map_chunks("_chunk_degrees", self._ranges()):
-            for entity, degree in chunk:
-                degrees[entity] = degree
-                total += degree
-        weighting._degrees = degrees
-        # Every edge is discovered from both endpoints.
-        weighting._total_edges = total // 2
-        weighting._degrees_array = np.asarray(degrees, dtype=np.int64)
+        self.weighting._store_degrees(
+            run
+            for chunk in self._map_chunks("_chunk_degrees", self._ranges())
+            for run in chunk
+        )
 
     def mean_edge_weight(self) -> float:
         """Parallel two-pass counterpart of
@@ -1152,7 +1144,7 @@ class ParallelMetaBlockingExecutor:
             self._k = (
                 algorithm.k
                 if algorithm.k is not None
-                else cardinality_edge_threshold(self.weighting.blocks)
+                else cardinality_edge_threshold(self.weighting.index)
             )
             # Chunk top-k results are K-bounded, so they always return as
             # arrays and merge owner-side before one bounded append.
@@ -1189,7 +1181,7 @@ class ParallelMetaBlockingExecutor:
             self._k = (
                 algorithm.k
                 if algorithm.k is not None
-                else cardinality_node_threshold(self.weighting.blocks)
+                else cardinality_node_threshold(self.weighting.index)
             )
             num_entities = self.weighting.num_entities
             conjunctive = algorithm.conjunctive
@@ -1268,7 +1260,7 @@ class ParallelMetaBlockingExecutor:
             self._k = (
                 algorithm.k
                 if algorithm.k is not None
-                else cardinality_node_threshold(self.weighting.blocks)
+                else cardinality_node_threshold(self.weighting.index)
             )
             self._run_pair_map("_chunk_original_cnp", ranges, sink)
             return

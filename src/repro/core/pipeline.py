@@ -224,13 +224,15 @@ def meta_block(
             filtered = BlockFiltering(block_filtering_ratio).process(blocks)
         filtering_seconds = timer.elapsed
         graph_input = filtered
-        logger.debug(
-            "block filtering r=%.2f: ||B|| %d -> %d (%.3fs)",
-            block_filtering_ratio,
-            blocks.cardinality,
-            filtered.cardinality,
-            filtering_seconds,
-        )
+        # ||B|| walks every block: evaluate it only when the message is kept.
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "block filtering r=%.2f: ||B|| %d -> %d (%.3fs)",
+                block_filtering_ratio,
+                blocks.cardinality,
+                filtered.cardinality,
+                filtering_seconds,
+            )
 
     workers = (
         resolve_workers(execution.parallel)
@@ -492,22 +494,25 @@ class MetaBlockingWorkflow:
         with Timer() as timer:
             blocks = self.blocking.build(dataset)
         blocking_seconds = timer.elapsed
-        logger.debug(
-            "%s built %d blocks, ||B||=%d (%.3fs)",
-            type(self.blocking).__name__,
-            len(blocks),
-            blocks.cardinality,
-            blocking_seconds,
-        )
+        debug = logger.isEnabledFor(logging.DEBUG)
+        if debug:
+            logger.debug(
+                "%s built %d blocks, ||B||=%d (%.3fs)",
+                type(self.blocking).__name__,
+                len(blocks),
+                blocks.cardinality,
+                blocking_seconds,
+            )
         with Timer() as timer:
             blocks = self.purging.process(blocks)
         purging_seconds = timer.elapsed
-        logger.debug(
-            "block purging kept %d blocks, ||B||=%d (%.3fs)",
-            len(blocks),
-            blocks.cardinality,
-            purging_seconds,
-        )
+        if debug:
+            logger.debug(
+                "block purging kept %d blocks, ||B||=%d (%.3fs)",
+                len(blocks),
+                blocks.cardinality,
+                purging_seconds,
+            )
         result = meta_block(
             blocks,
             scheme=self.scheme,

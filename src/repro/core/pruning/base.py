@@ -7,6 +7,7 @@ from abc import ABC
 
 import numpy as np
 
+from repro.blockprocessing.entity_index import EntityIndex
 from repro.core.edge_stream import neighborhood_mean
 from repro.core.edge_weighting import EdgeWeighting, weight_and_prune_chunks
 from repro.datamodel.blocks import BlockCollection, ComparisonCollection
@@ -146,12 +147,15 @@ def run_pruning(
     return ensure_view(eager, sink)
 
 
-def cardinality_edge_threshold(blocks: BlockCollection) -> int:
-    """CEP's global cardinality threshold ``K = floor(sum(|b|) / 2)``."""
+def cardinality_edge_threshold(blocks: "BlockCollection | EntityIndex") -> int:
+    """CEP's global cardinality threshold ``K = floor(sum(|b|) / 2)``.
+
+    An Entity Index reads ``sum(|b|)`` off its CSR instead of every block.
+    """
     return blocks.aggregate_size // 2
 
 
-def cardinality_node_threshold(blocks: BlockCollection) -> int:
+def cardinality_node_threshold(blocks: "BlockCollection | EntityIndex") -> int:
     """CNP's per-node threshold ``k = floor(sum(|b|)/|E| - 1)``, at least 1.
 
     ``sum(|b|)/|E|`` is BPE, so each node retains one edge per block it

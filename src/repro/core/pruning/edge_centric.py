@@ -46,7 +46,7 @@ class CardinalityEdgePruning(PruningAlgorithm):
     def _threshold(self, weighting: EdgeWeighting) -> int:
         if self.k is not None:
             return self.k
-        return cardinality_edge_threshold(weighting.blocks)
+        return cardinality_edge_threshold(weighting.index)
 
     def _prune_into(
         self, weighting: EdgeWeighting, sink: ComparisonSink

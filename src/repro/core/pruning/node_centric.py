@@ -11,7 +11,7 @@ published behaviour.
 The primary ``prune`` path reads whole chunks of node neighbourhoods
 (:meth:`~repro.core.edge_weighting.EdgeWeighting.neighborhood_chunks`) and
 resolves the local criteria with a handful of big-array operations per
-chunk (top-k via one lexsort per group, local means via one segmented
+chunk (top-k via stable argsorts per group, local means via one segmented
 reduction); ``prune_per_edge`` keeps the tuple-at-a-time loop with the same
 retained comparisons.
 """
@@ -104,7 +104,7 @@ class CardinalityNodePruning(PruningAlgorithm):
     def _threshold(self, weighting: EdgeWeighting) -> int:
         if self.k is not None:
             return self.k
-        return cardinality_node_threshold(weighting.blocks)
+        return cardinality_node_threshold(weighting.index)
 
     def _prune_into(
         self, weighting: EdgeWeighting, sink: ComparisonSink

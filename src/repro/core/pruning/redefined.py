@@ -185,7 +185,7 @@ class RedefinedCardinalityNodePruning(PruningAlgorithm):
     def _threshold(self, weighting: EdgeWeighting) -> int:
         if self.k is not None:
             return self.k
-        return cardinality_node_threshold(weighting.blocks)
+        return cardinality_node_threshold(weighting.index)
 
     def _prune_into(
         self, weighting: EdgeWeighting, sink: ComparisonSink

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from repro.core.edge_stream import (
     DEFAULT_CHUNK_SIZE,
     EdgeBatch,
+    NodeGroup,
     TopKEdgeBuffer,
     directed_pair_keys,
     keys_contain,
     neighborhood_mean,
     select_topk_edges,
     select_topk_neighbors,
+    topk_per_segment,
 )
 from repro.core.edge_weighting import (
     OptimizedEdgeWeighting,
@@ -112,6 +114,42 @@ class TestTopKSelection:
         selected = select_topk_neighbors(weights, neighbors, k)
         assert len(set(selected.tolist())) == selected.size == min(k, count)
         assert set(neighbors[selected].tolist()) == heap.items()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_topk_per_segment_property(self, data):
+        """Segments in random (not ascending) neighbour order, tied weights."""
+        segments = data.draw(
+            st.lists(
+                st.lists(
+                    st.integers(0, 79), min_size=1, max_size=30, unique=True
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        grid = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+        weights = [
+            data.draw(st.lists(grid, min_size=len(run), max_size=len(run)))
+            for run in segments
+        ]
+        longest = max(len(run) for run in segments)
+        k = data.draw(st.integers(min_value=0, max_value=longest + 2))
+        offsets = np.cumsum([0] + [len(run) for run in segments])
+        group = NodeGroup(
+            np.arange(len(segments), dtype=np.int64),
+            offsets.astype(np.int64),
+            np.array([n for run in segments for n in run], dtype=np.int64),
+            np.array([w for run in weights for w in run], dtype=np.float64),
+        )
+        selected, chosen = topk_per_segment(group, k)
+        assert chosen.tolist() == sorted(chosen.tolist())
+        for position, (run, run_weights) in enumerate(zip(segments, weights)):
+            heap: TopKHeap[int] = TopKHeap(k)
+            for other, weight in zip(run, run_weights):
+                heap.push(weight, other)
+            picked = group.neighbors[selected[chosen == position]].tolist()
+            assert picked == sorted(heap.items())
 
     @pytest.mark.parametrize("k", [1, 3, 10, 64])
     def test_select_topk_edges_matches_heap(self, k):

@@ -5,8 +5,11 @@ blocking graph, for every weighting scheme and both ER tasks.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.edge_weighting import OptimizedEdgeWeighting, OriginalEdgeWeighting
+from repro.core.vectorized import VectorizedEdgeWeighting
 from repro.core.weights import WEIGHTING_SCHEMES
 from repro.datamodel.blocks import Block, BlockCollection
 
@@ -148,3 +151,103 @@ class TestEmptyAndDegenerate:
     def test_unknown_backend_scheme(self):
         with pytest.raises(ValueError):
             OptimizedEdgeWeighting(BlockCollection([], 0), "XXX")
+
+
+@st.composite
+def block_collections(draw):
+    """Small unilateral or bilateral collections over a shared id space.
+
+    Members come in random order (a node's first-met neighbour is often not
+    its smallest), blocks overlap in several members, and some ids may sit
+    in no block at all.
+    """
+    num_entities = draw(st.integers(min_value=2, max_value=14))
+    num_blocks = draw(st.integers(min_value=0, max_value=8))
+    if draw(st.booleans()):
+        members = st.lists(
+            st.integers(0, num_entities - 1), min_size=2, max_size=6, unique=True
+        )
+        blocks = [Block(f"b{i}", draw(members)) for i in range(num_blocks)]
+    else:
+        split = draw(st.integers(min_value=1, max_value=num_entities - 1))
+        first = st.lists(
+            st.integers(0, split - 1), min_size=1, max_size=4, unique=True
+        )
+        second = st.lists(
+            st.integers(split, num_entities - 1), min_size=1, max_size=4, unique=True
+        )
+        blocks = [
+            Block(f"b{i}", draw(first), draw(second)) for i in range(num_blocks)
+        ]
+    return BlockCollection(blocks, num_entities)
+
+
+#: Entities 0 and 1 share five blocks of different cardinalities, so their
+#: ARCS sum depends on the order its terms are added in; 0 meets 4 first.
+ARCS_ORDER_BLOCKS = BlockCollection(
+    [
+        Block("a", (0, 4, 1)),
+        Block("b", (5, 6, 0, 1)),
+        Block("c", (0, 7, 8, 1, 9)),
+        Block("d", (10, 1, 11, 0, 12, 13)),
+        Block("e", (0, 14, 1, 15, 16, 17, 18)),
+        Block("f", (3, 2)),
+    ],
+    num_entities=20,
+)
+
+
+class TestBulkKernelsMatchScalarNeighborhoods:
+    """Every backend's bulk kernel reproduces its own scalar neighbourhood,
+    checked against Algorithm 3's per-node ScanCount (``_scan``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        blocks=block_collections(),
+        scheme=st.sampled_from(["ARCS", "CBS", "ECBS", "JS", "EJS", "X2"]),
+        entities=st.lists(st.integers(0, 19), max_size=16, unique=True),
+    )
+    @example(
+        blocks=ARCS_ORDER_BLOCKS, scheme="ARCS", entities=[1, 0, 19, 4, 3]
+    )
+    def test_batch_counts_and_degrees(self, blocks, scheme, entities):
+        entities = [e for e in entities if e < blocks.num_entities]
+        oracle = OptimizedEdgeWeighting(blocks, scheme)
+        found, common = {}, {}
+        for entity in entities:
+            # Each scan reuses the counters: read them before the next.
+            found[entity] = oracle._scan(entity)
+            common[entity] = {j: oracle._common[j] for j in found[entity]}
+        scanned_degrees = [
+            oracle.count_neighbors(entity)
+            for entity in range(blocks.num_entities)
+        ]
+        for backend in (
+            OriginalEdgeWeighting,
+            OptimizedEdgeWeighting,
+            VectorizedEdgeWeighting,
+        ):
+            weighting = backend(blocks, scheme)
+            batch = weighting.neighborhood_batch(entities)
+            assert batch.entities.tolist() == entities
+            for position, entity in enumerate(entities):
+                span = batch.segment(position)
+                neighborhood = weighting.neighborhood(entity)
+                neighbors = batch.neighbors[span].tolist()
+                assert neighbors == [other for other, _ in neighborhood]
+                assert batch.weights[span].tolist() == [
+                    weight for _, weight in neighborhood
+                ]
+                if backend is OptimizedEdgeWeighting:
+                    assert neighbors == found[entity]
+                elif backend is VectorizedEdgeWeighting:
+                    assert neighbors == sorted(found[entity])
+                if batch.counts is not None:
+                    assert batch.counts[span].tolist() == [
+                        common[entity][other] for other in neighbors
+                    ]
+            assert weighting.degrees() == scanned_degrees
+            assert weighting.degrees() == [
+                weighting.count_neighbors(entity)
+                for entity in range(blocks.num_entities)
+            ]

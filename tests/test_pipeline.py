@@ -1,8 +1,11 @@
 """Unit tests for the meta_block facade and the full workflow."""
 
+import logging
+
 import pytest
 
 from repro.blocking import CanopyClustering, SortedNeighborhoodBlocking, TokenBlocking
+from repro.core.block_filtering import BlockFiltering
 from repro.core.pipeline import (
     MetaBlockingWorkflow,
     get_pruning,
@@ -67,6 +70,43 @@ class TestMetaBlockFacade:
         assert isinstance(get_pruning("WEP"), PruningAlgorithm)
         instance = WeightedEdgePruning()
         assert get_pruning(instance) is instance
+
+
+class TestDebugLogging:
+    """``||B||`` walks every block, so it is computed only for DEBUG."""
+
+    @staticmethod
+    def _count_reads(monkeypatch) -> dict:
+        reads: dict = {}
+        for name in ("cardinality", "aggregate_size"):
+            getter = getattr(BlockCollection, name).fget
+
+            def counted(self, _name=name, _getter=getter):
+                reads[_name] = reads.get(_name, 0) + 1
+                return _getter(self)
+
+            monkeypatch.setattr(BlockCollection, name, property(counted))
+        return reads
+
+    def test_collection_sums_skipped_above_debug(
+        self, small_dirty_blocks, monkeypatch, caplog
+    ):
+        caplog.set_level(logging.INFO, logger="repro.core.pipeline")
+        reads = self._count_reads(monkeypatch)
+        result = meta_block(
+            small_dirty_blocks, algorithm="ReCNP", block_filtering_ratio=0.8
+        )
+        assert result.comparisons.cardinality > 0
+        assert reads == {}
+
+    def test_filtering_message_at_debug(self, small_dirty_blocks, caplog):
+        caplog.set_level(logging.DEBUG, logger="repro.core.pipeline")
+        meta_block(small_dirty_blocks, algorithm="ReCNP", block_filtering_ratio=0.8)
+        filtered = BlockFiltering(0.8).process(small_dirty_blocks)
+        assert (
+            f"||B|| {small_dirty_blocks.cardinality} -> {filtered.cardinality}"
+            in caplog.text
+        )
 
 
 class TestMetaBlockingWorkflow:
