@@ -78,6 +78,7 @@ class CachedGraph:
     node_ordered_edge_stream = False
 
     neighborhood_chunks = EdgeWeighting.neighborhood_chunks
+    _node_runs = EdgeWeighting._node_runs
     emitters = EdgeWeighting.emitters
     iter_edge_batches = EdgeWeighting.iter_edge_batches
 
