@@ -625,8 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     metablock.add_argument(
         "--chunk-size", type=_chunk_size, default="auto", dest="chunk_size",
         help="edges per EdgeBatch chunk in the batched pruning paths, or "
-             "'auto' (default) for the stream default plus degree-aware "
-             "parallel chunking; never changes the retained comparisons",
+             "'auto' (default) for the stream default; never changes the "
+             "retained comparisons",
     )
     metablock.add_argument(
         "--spill-dir", default=None, dest="spill_dir",

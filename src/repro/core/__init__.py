@@ -20,7 +20,7 @@ Public entry points:
 
 from repro.core.block_filtering import BlockFiltering
 from repro.core.edge_stream import DEFAULT_CHUNK_SIZE, EdgeBatch
-from repro.core.execution import ExecutionConfig, resolve_execution
+from repro.core.execution import ExecutionConfig
 from repro.core.faults import (
     ChunkTimeout,
     Fault,
@@ -44,7 +44,6 @@ from repro.core.graph import MaterializedBlockingGraph, blocking_graph_stats
 from repro.core.parallel import (
     PARALLEL_ALGORITHMS,
     ParallelMetaBlockingExecutor,
-    ParallelNodeCentricExecutor,
     parallel_prune,
     supports_parallel,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "OriginalEdgeWeighting",
     "PARALLEL_ALGORITHMS",
     "ParallelMetaBlockingExecutor",
-    "ParallelNodeCentricExecutor",
     "PruningAlgorithm",
     "parallel_prune",
     "supports_parallel",
@@ -142,7 +140,6 @@ __all__ = [
     "install_faults",
     "meta_block",
     "recover_resolver",
-    "resolve_execution",
     "resume_run",
     "sweep_stale_wal",
 ]

@@ -33,6 +33,7 @@ test suite asserts this for every algorithm × scheme × backend).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -206,24 +207,28 @@ class FusedChunk:
     ``group`` holds the full neighbourhoods (the node-centric criterion's
     input); ``emitted`` is the chunk's slice of the canonical distinct-edge
     stream — each edge once, from the endpoint that emits it — carved out of
-    the same arrays; ``emitted_offsets[i]:emitted_offsets[i+1]`` is the
-    emitted run of ``group.entities[i]`` (possibly empty).
+    the same arrays on first use, so a step that reads only ``group`` never
+    pays for it; ``emitted_offsets[i]:emitted_offsets[i+1]`` is the emitted
+    run of ``group.entities[i]`` (possibly empty).
     """
 
     group: NodeGroup
-    emitted: EdgeBatch
-    emitted_offsets: np.ndarray  # int64 [num_segments + 1]
+    #: The graph's second-side mask when it is bilateral (an edge is
+    #: emitted by its first-side endpoint), ``None`` when it is unilateral
+    #: (an edge is emitted by its lower id).
+    second_side: "np.ndarray | None" = None
 
-    @classmethod
-    def pack(
-        cls, group: NodeGroup, owners: np.ndarray, emitted: np.ndarray
-    ) -> "FusedChunk":
-        """Split ``group`` by the boolean ``emitted`` mask over its edges
-        (``owners`` is each edge's segment entity).
-
-        Every weighting scheme is element-wise, so masking after weighting
-        gives the same bits as filtering the neighbourhood before weighting.
-        """
+    @cached_property
+    def _split(self) -> "tuple[EdgeBatch, np.ndarray]":
+        """Every weighting scheme is element-wise, so masking after
+        weighting gives the same bits as filtering the neighbourhood before
+        weighting."""
+        group = self.group
+        owners = np.repeat(group.entities, group.counts)
+        if self.second_side is not None:
+            emitted = ~self.second_side[owners]
+        else:
+            emitted = group.neighbors > owners
         owners = owners[emitted]
         neighbors = group.neighbors[emitted]
         emitted_offsets = np.zeros(group.entities.size + 1, dtype=np.int64)
@@ -231,15 +236,20 @@ class FusedChunk:
             np.add.reduceat(emitted.astype(np.int64), group.offsets[:-1]),
             out=emitted_offsets[1:],
         )
-        return cls(
-            group,
-            EdgeBatch(
-                np.minimum(owners, neighbors),
-                np.maximum(owners, neighbors),
-                group.weights[emitted],
-            ),
-            emitted_offsets,
+        batch = EdgeBatch(
+            np.minimum(owners, neighbors),
+            np.maximum(owners, neighbors),
+            group.weights[emitted],
         )
+        return batch, emitted_offsets
+
+    @property
+    def emitted(self) -> EdgeBatch:
+        return self._split[0]
+
+    @property
+    def emitted_offsets(self) -> np.ndarray:  # int64 [num_segments + 1]
+        return self._split[1]
 
     def emitted_node_sums(self) -> tuple[np.ndarray, int]:
         """Per-emitting-node weight sums (node order) and the edge count.

@@ -69,10 +69,10 @@ class EdgeWeighting(ABC):
     """
 
     #: Whether :meth:`iter_edges` emits edges grouped by emitting node, in
-    #: the same per-node order as :meth:`emitted_arrays`. The fused pruning
-    #: paths rely on this to reproduce the legacy emission order exactly;
-    #: the block-ordered original backend opts out and keeps the two-pass
-    #: code path.
+    #: the same per-node order as :meth:`emitted_arrays`. Retention from
+    #: cached node chunks (:class:`~repro.core.pruning.base.PruningRun`)
+    #: relies on this to reproduce the stream's emission order exactly; the
+    #: block-ordered original backend opts out and re-streams its edges.
     node_ordered_edge_stream: bool = True
 
     def __init__(
@@ -601,7 +601,7 @@ class OriginalEdgeWeighting(EdgeWeighting):
     """
 
     # iter_edges walks blocks, not nodes, so its order differs from the
-    # node-partitioned emitted_arrays view; fused pruning stays off.
+    # node-partitioned emitted_arrays view; retention re-streams it.
     node_ordered_edge_stream = False
 
     def iter_edge_batches(
@@ -703,20 +703,18 @@ def weight_and_prune_chunks(
 
     Each chunk is weighted once and serves both pruning phases: the full
     neighbourhoods feed the node-centric criterion, and the chunk's slice of
-    the distinct-edge stream is masked out of the same arrays — an edge is
-    emitted by its owner when the owner is on the first side (bilateral) or
-    has the lower id (unilateral). Chunk boundaries never affect any
-    downstream result.
+    the distinct-edge stream is masked out of the same arrays when first
+    read — an edge is emitted by its owner when the owner is on the first
+    side (bilateral) or has the lower id (unilateral). Chunk boundaries
+    never affect any downstream result.
     """
     index = weighting.index
+    second_side = (
+        np.asarray(index.second_side_mask, dtype=bool)
+        if index.is_bilateral
+        else None
+    )
     for batch in weighting.neighborhood_chunks(entities, chunk_size):
         group = batch.node_group()
-        if not group.entities.size:
-            continue
-        owners = np.repeat(group.entities, group.counts)
-        if index.is_bilateral:
-            second = np.asarray(index.second_side_mask, dtype=bool)
-            emitted = ~second[owners]
-        else:
-            emitted = group.neighbors > owners
-        yield FusedChunk.pack(group, owners, emitted)
+        if group.entities.size:
+            yield FusedChunk(group, second_side)

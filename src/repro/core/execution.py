@@ -1,26 +1,15 @@
 """Unified execution configuration for the meta-blocking pipeline.
 
-Historically every execution knob was its own keyword argument threaded
-through :func:`~repro.core.pipeline.meta_block`, the workflow and the CLI —
-``parallel``, ``chunks``, ``chunk_size`` — and the
-out-of-core work added two more (``spill_dir``, ``memory_budget``).
-:class:`ExecutionConfig` collapses the sprawl into one value object: *what*
-to compute stays in the pipeline signature (blocks, scheme, algorithm),
-*how* to run it lives here.
-
-The old keyword arguments remain as aliases that forward into the config
-with a :class:`DeprecationWarning` (see :func:`resolve_execution`), so
-existing callers keep working unchanged — until
-:data:`EXECUTION_KWARGS_REMOVAL_RELEASE`, when the aliases are removed
-from the signatures and :class:`ExecutionConfig` becomes the only way to
-configure execution (the policy table lives in ``docs/api.md``).
+:class:`ExecutionConfig` is one value object for every execution knob of
+:func:`~repro.core.pipeline.meta_block`, the workflow, the streaming
+resolver and the CLI: *what* to compute stays in the pipeline signature
+(blocks, scheme, algorithm), *how* to run it lives here, and nowhere else.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.core.wal import FSYNC_POLICIES
 from repro.datamodel.sinks import ComparisonSink, InMemorySink, SpillSink
@@ -65,12 +54,12 @@ class ExecutionConfig:
         Contiguous node partitions for the parallel executor (default
         ``4 × workers``).
     chunk_size:
-        ``"auto"`` (the default) uses the stream's default batch size and
-        lets the parallel executor balance its node ranges by Entity Index
-        comparison mass (degree-aware chunking). An explicit integer sets
-        the edges per :class:`~repro.core.edge_stream.EdgeBatch` chunk in
-        the batched pruning paths and keeps the historical even node
-        split. Never affects the retained comparisons.
+        ``"auto"`` (the default) uses the stream's default batch size; an
+        explicit integer sets the edges per
+        :class:`~repro.core.edge_stream.EdgeBatch` chunk in the batched
+        pruning paths. Never affects the retained comparisons. (The
+        parallel executor's node ranges are always balanced by Entity
+        Index comparison mass.)
     spill_dir:
         Directory for out-of-core output. When set, retained comparisons are
         spilled to ``.npy`` shards in a unique run subdirectory instead of
@@ -242,68 +231,4 @@ class ExecutionConfig:
         return cls(**{key: config[key] for key in known if key in config})
 
 
-#: The per-knob keyword arguments superseded by :class:`ExecutionConfig`.
-DEPRECATED_EXECUTION_KWARGS = ("parallel", "chunks", "chunk_size")
-
-#: The release in which the deprecated per-knob keyword arguments become a
-#: :class:`TypeError`. The policy (documented in ``docs/api.md``) is
-#: two-stage: every use emits a :class:`DeprecationWarning` naming
-#: :class:`ExecutionConfig` today, and from this release on the aliases are
-#: removed from the signatures outright — ``ExecutionConfig`` is the single
-#: way to configure execution.
-EXECUTION_KWARGS_REMOVAL_RELEASE = "2.0"
-
-
-def resolve_execution(
-    execution: "ExecutionConfig | None" = None,
-    *,
-    parallel: int | None = None,
-    chunks: int | None = None,
-    chunk_size: "int | str | None" = None,
-    stacklevel: int = 3,
-) -> ExecutionConfig:
-    """Merge an :class:`ExecutionConfig` with the deprecated per-knob kwargs.
-
-    Any non-``None`` legacy keyword emits one :class:`DeprecationWarning`
-    (naming every offender) and fills the corresponding *unset* config
-    field; supplying a knob both ways with different values raises
-    :class:`ValueError` rather than silently preferring one.
-    """
-    legacy = {
-        "parallel": parallel,
-        "chunks": chunks,
-        "chunk_size": chunk_size,
-    }
-    supplied = {key: value for key, value in legacy.items() if value is not None}
-    if supplied:
-        names = ", ".join(sorted(supplied))
-        warnings.warn(
-            f"the {names} keyword argument(s) are deprecated and will be "
-            f"removed in release {EXECUTION_KWARGS_REMOVAL_RELEASE}; pass "
-            "execution=ExecutionConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    if execution is None:
-        return ExecutionConfig(**supplied)
-    updates = {}
-    for key, value in supplied.items():
-        current = getattr(execution, key)
-        # chunk_size's "auto" default counts as unset: a legacy integer
-        # kwarg should fill it, not conflict with it.
-        if current is None or (key == "chunk_size" and current == "auto"):
-            updates[key] = value
-        elif current != value:
-            raise ValueError(
-                f"{key} given both on ExecutionConfig ({current!r}) and as a "
-                f"keyword argument ({value!r})"
-            )
-    return replace(execution, **updates) if updates else execution
-
-
-__all__ = [
-    "DEPRECATED_EXECUTION_KWARGS",
-    "EXECUTION_KWARGS_REMOVAL_RELEASE",
-    "ExecutionConfig",
-    "resolve_execution",
-]
+__all__ = ["ExecutionConfig"]

@@ -116,8 +116,9 @@ class Fault:
         At the ``wal`` site this is the *record sequence number* instead,
         which is equally deterministic across processes.
     task:
-        Substring of the chunk task name (e.g. ``"wep_retain"``); ``None``
-        matches every task.
+        Substring of the chunk task name, ``"<acronym>:<phase>"`` in lower
+        case (e.g. ``"wep:retain"``; ``"wnp"`` matches every WNP family
+        task); ``None`` matches every task.
     attempts:
         Number of attempts the fault keeps firing for: it fires while
         ``attempt < attempts``, so the default 1 fires on the first attempt

@@ -29,7 +29,7 @@ from repro.core.edge_weighting import (
     OptimizedEdgeWeighting,
     OriginalEdgeWeighting,
 )
-from repro.core.execution import ExecutionConfig, resolve_execution
+from repro.core.execution import ExecutionConfig
 from repro.core.parallel import (
     ParallelMetaBlockingExecutor,
     resolve_workers,
@@ -37,11 +37,11 @@ from repro.core.parallel import (
 )
 from repro.core.vectorized import VectorizedEdgeWeighting
 from repro.core.pruning import PRUNING_ALGORITHMS, PruningAlgorithm
-from repro.core.pruning.base import run_pruning
 from repro.core.weights import WeightingScheme, get_scheme
 from repro.datamodel.blocks import BlockCollection, ComparisonCollection
 from repro.datamodel.dataset import ERDataset
 from repro.datamodel.sinks import (
+    ComparisonSink,
     ComparisonView,
     SpillSink,
     read_run_checkpoint,
@@ -56,6 +56,19 @@ WEIGHTING_BACKENDS: dict[str, type[EdgeWeighting]] = {
     "original": OriginalEdgeWeighting,
     "vectorized": VectorizedEdgeWeighting,
 }
+
+
+def run_pruning(
+    algorithm: PruningAlgorithm,
+    weighting: EdgeWeighting,
+    sink: ComparisonSink,
+) -> ComparisonCollection:
+    """The serial pruning stage of :func:`meta_block`.
+
+    Its own name so a profiler can wrap the stage: the traced benchmark
+    run patches ``repro.core.pipeline.run_pruning``.
+    """
+    return algorithm.prune(weighting, sink=sink)
 
 
 def get_pruning(algorithm: "str | PruningAlgorithm") -> PruningAlgorithm:
@@ -152,9 +165,6 @@ def meta_block(
     block_filtering_ratio: float | None = 0.8,
     backend: str = "optimized",
     execution: "ExecutionConfig | None" = None,
-    parallel: int | None = None,
-    chunks: int | None = None,
-    chunk_size: "int | str | None" = None,
 ) -> MetaBlockingResult:
     """Restructure a redundancy-positive block collection.
 
@@ -184,9 +194,6 @@ def meta_block(
         ``.npy`` shards and :attr:`MetaBlockingResult.comparisons`
         memory-maps them back; results are bit-identical either way. The
         effective worker count and backend are recorded on the result.
-    parallel, chunks, chunk_size:
-        Deprecated aliases for the matching :class:`ExecutionConfig` fields;
-        they forward into ``execution`` with a :class:`DeprecationWarning`.
     """
     if isinstance(blocks, DeltaEntityIndex):
         # A live streaming index: materialise the current collection so the
@@ -199,12 +206,8 @@ def meta_block(
     except KeyError:
         known = ", ".join(sorted(WEIGHTING_BACKENDS))
         raise ValueError(f"unknown weighting backend {backend!r}; known: {known}")
-    execution = resolve_execution(
-        execution,
-        parallel=parallel,
-        chunks=chunks,
-        chunk_size=chunk_size,
-    )
+    if execution is None:
+        execution = ExecutionConfig()
     scheme = get_scheme(scheme)
     pruning = get_pruning(algorithm)
     if isinstance(execution.chunk_size, int):
@@ -287,11 +290,6 @@ def meta_block(
                 max_retries=execution.max_retries,
                 chunk_timeout=execution.chunk_timeout,
                 backoff=execution.backoff,
-                chunking=(
-                    "even"
-                    if isinstance(execution.chunk_size, int)
-                    else "auto"
-                ),
             )
             try:
                 comparisons = executor.prune(pruning, sink=sink)
@@ -391,9 +389,6 @@ class MetaBlockingWorkflow:
         Forwarded to :func:`meta_block`; ``execution`` is the
         :class:`~repro.core.execution.ExecutionConfig` holding every
         execution knob (workers, chunking, spilling).
-    parallel / chunk_size:
-        Deprecated aliases for the matching ``execution`` fields; they
-        forward with a :class:`DeprecationWarning`.
     """
 
     def __init__(
@@ -405,8 +400,6 @@ class MetaBlockingWorkflow:
         block_filtering_ratio: float | None = 0.8,
         backend: str = "optimized",
         execution: "ExecutionConfig | None" = None,
-        parallel: int | None = None,
-        chunk_size: "int | str | None" = None,
     ) -> None:
         if not blocking.redundancy_positive:
             raise ValueError(
@@ -420,21 +413,7 @@ class MetaBlockingWorkflow:
         self.scheme = get_scheme(scheme)
         self.algorithm = get_pruning(algorithm)
         self.backend = backend
-        self.execution = resolve_execution(
-            execution,
-            parallel=parallel,
-            chunk_size=chunk_size,
-        )
-
-    # Read-only views of the execution knobs, kept for callers written
-    # against the pre-ExecutionConfig attribute surface.
-    @property
-    def parallel(self) -> int | None:
-        return self.execution.parallel
-
-    @property
-    def chunk_size(self) -> "int | str | None":
-        return self.execution.chunk_size
+        self.execution = execution if execution is not None else ExecutionConfig()
 
     def to_config(self) -> dict:
         """A JSON-serialisable description of this workflow.

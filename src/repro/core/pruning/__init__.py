@@ -20,7 +20,7 @@ The cardinality-based schemes serve efficiency-intensive applications
 effectiveness-intensive applications (recall >= 0.95).
 """
 
-from repro.core.pruning.base import PruningAlgorithm
+from repro.core.pruning.base import PruningAlgorithm, PruningRun
 from repro.core.pruning.edge_centric import (
     CardinalityEdgePruning,
     WeightedEdgePruning,
@@ -37,8 +37,8 @@ from repro.core.pruning.reciprocal import (
 from repro.core.pruning.redefined import (
     RedefinedCardinalityNodePruning,
     RedefinedWeightedNodePruning,
-    stream_key_retention,
-    stream_threshold_retention,
+    key_retention,
+    threshold_retention,
 )
 
 #: Registry keyed by the acronyms used throughout the paper and this library.
@@ -58,13 +58,14 @@ __all__ = [
     "CardinalityEdgePruning",
     "CardinalityNodePruning",
     "PruningAlgorithm",
+    "PruningRun",
     "ReciprocalCardinalityNodePruning",
     "ReciprocalWeightedNodePruning",
     "RedefinedCardinalityNodePruning",
     "RedefinedWeightedNodePruning",
     "WeightedEdgePruning",
     "WeightedNodePruning",
+    "key_retention",
     "node_criteria",
-    "stream_key_retention",
-    "stream_threshold_retention",
+    "threshold_retention",
 ]

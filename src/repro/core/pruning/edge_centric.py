@@ -6,25 +6,28 @@ redundant comparisons. They cannot, however, guarantee that every entity
 keeps at least one edge — the reason the paper's new algorithms build on the
 node-centric family instead.
 
-The primary :meth:`~repro.core.pruning.base.PruningAlgorithm.prune` path
-consumes the graph in :class:`~repro.core.edge_stream.EdgeBatch` chunks;
-``prune_per_edge`` keeps the historical tuple-at-a-time loop and retains
-exactly the same comparisons.
+Their steps consume the graph in :class:`~repro.core.edge_stream.EdgeBatch`
+chunks: CEP folds every span's edges into a local top-k and merges those
+owner-side; WEP merges per-node weight sums into the global mean, then
+retains against it. ``prune_per_edge`` keeps the historical tuple-at-a-time
+loop and retains exactly the same comparisons.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Iterable
 
-from repro.core.edge_stream import TopKEdgeBuffer
-from repro.core.edge_weighting import EdgeWeighting, weight_and_prune_chunks
+from repro.core.edge_stream import EdgeBatch, TopKEdgeBuffer
+from repro.core.edge_weighting import EdgeWeighting
 from repro.core.pruning.base import (
     PruningAlgorithm,
+    PruningRun,
     cardinality_edge_threshold,
+    emitted_weight_sums,
     mean_edge_weight,
+    mean_of_sums,
 )
 from repro.datamodel.blocks import ComparisonCollection
-from repro.datamodel.sinks import ComparisonSink
 from repro.utils.topk import TopKHeap
 
 
@@ -48,15 +51,23 @@ class CardinalityEdgePruning(PruningAlgorithm):
             return self.k
         return cardinality_edge_threshold(weighting.index)
 
-    def _prune_into(
-        self, weighting: EdgeWeighting, sink: ComparisonSink
-    ) -> None:
-        buffer = TopKEdgeBuffer(self._threshold(weighting))
-        for batch in weighting.iter_edge_batches(self.chunk_size):
-            buffer.push(batch)
-        # The global top-K is only known once the stream is exhausted, so
-        # CEP's sink traffic is a single bounded append (K pairs at most).
-        sink.append_pairs(buffer.pairs())
+    def steps(self, run: PruningRun) -> None:
+        k = self._threshold(run.weighting)
+
+        def top_k(batches: Iterable[EdgeBatch]) -> TopKEdgeBuffer:
+            buffer = TopKEdgeBuffer(k)
+            for batch in batches:
+                buffer.push(batch)
+            return buffer
+
+        # The global top-K is only known once every local top-k is merged,
+        # so CEP's sink traffic is a single bounded append (K pairs at most).
+        run.sink.append_pairs(
+            run.reduce(
+                lambda batches: top_k(batches).top(),
+                lambda tops: top_k(tops).pairs(),
+            )
+        )
 
     def prune_per_edge(self, weighting: EdgeWeighting) -> ComparisonCollection:
         heap: TopKHeap[tuple[int, int]] = TopKHeap(self._threshold(weighting))
@@ -84,44 +95,13 @@ class WeightedEdgePruning(PruningAlgorithm):
             return self.threshold
         return mean_edge_weight(weighting)
 
-    def _prune_into(
-        self, weighting: EdgeWeighting, sink: ComparisonSink
-    ) -> None:
-        if self.threshold is None and self._use_fused_path(weighting, sink):
-            self._prune_fused(weighting, sink)
-            return
-        threshold = self._resolve_threshold(weighting)
-        for batch in weighting.iter_edge_batches(self.chunk_size):
-            keep = batch.weights >= threshold
-            sink.append(batch.sources[keep], batch.targets[keep])
-
-    def _prune_fused(
-        self, weighting: EdgeWeighting, sink: ComparisonSink
-    ) -> None:
-        """Single-gather variant: the mean and the retention share chunks.
-
-        The global mean keeps its barrier (it is only known a-posteriori)
-        but is reduced from the cached chunks' per-node sums — the same
-        node-ordered array :func:`~repro.core.pruning.base.mean_edge_weight`
-        builds, so the threshold is bit-identical to the two-pass path.
-        """
-        chunks = list(
-            weight_and_prune_chunks(weighting, weighting.nodes(), self.chunk_size)
-        )
-        sums: list[np.ndarray] = []
-        count = 0
-        for fused in chunks:
-            node_sums, edges = fused.emitted_node_sums()
-            if edges:
-                sums.append(node_sums)
-                count += edges
-        threshold = (
-            float(np.sum(np.concatenate(sums))) / count if count else 0.0
-        )
-        for fused in chunks:
-            batch = fused.emitted
-            keep = batch.weights >= threshold
-            sink.append(batch.sources[keep], batch.targets[keep])
+    def steps(self, run: PruningRun) -> None:
+        threshold = self.threshold
+        if threshold is None:
+            threshold = run.criteria(
+                emitted_weight_sums, mean_of_sums, emitters=True
+            )
+        run.retain(lambda batch: batch.weights >= threshold)
 
     def prune_per_edge(self, weighting: EdgeWeighting) -> ComparisonCollection:
         threshold = self._resolve_threshold(weighting)

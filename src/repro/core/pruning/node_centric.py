@@ -8,12 +8,13 @@ paper's redefined algorithms remove. The outputs here faithfully preserve
 those repeats so that ``||B'||`` and PQ match the original algorithms'
 published behaviour.
 
-The primary ``prune`` path reads whole chunks of node neighbourhoods
-(:meth:`~repro.core.edge_weighting.EdgeWeighting.neighborhood_chunks`) and
-resolves the local criteria with a handful of big-array operations per
-chunk (top-k via stable argsorts per group, local means via one segmented
-reduction); ``prune_per_edge`` keeps the tuple-at-a-time loop with the same
-retained comparisons.
+Each algorithm is one per-node-chunk step
+(:meth:`~repro.core.pruning.base.PruningRun.select`) that resolves the
+local criterion with a handful of big-array operations per chunk (top-k
+via :func:`~repro.core.edge_stream.topk_per_segment`, local means via one
+segmented reduction) and returns the chunk's retained pairs;
+``prune_per_edge`` keeps the tuple-at-a-time loop with the same retained
+comparisons.
 """
 
 from __future__ import annotations
@@ -21,14 +22,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.edge_stream import (
+    NodeGroup,
     neighborhood_mean,
     segment_means,
     topk_per_segment,
 )
 from repro.core.edge_weighting import EdgeWeighting
-from repro.core.pruning.base import PruningAlgorithm, cardinality_node_threshold
+from repro.core.pruning.base import (
+    Pairs,
+    PruningAlgorithm,
+    PruningRun,
+    canonical_pairs,
+    cardinality_node_threshold,
+)
 from repro.datamodel.blocks import ComparisonCollection
-from repro.datamodel.sinks import ComparisonSink
 from repro.utils.topk import TopKHeap
 
 Comparison = tuple[int, int]
@@ -106,20 +113,16 @@ class CardinalityNodePruning(PruningAlgorithm):
             return self.k
         return cardinality_node_threshold(weighting.index)
 
-    def _prune_into(
-        self, weighting: EdgeWeighting, sink: ComparisonSink
-    ) -> None:
-        k = self._threshold(weighting)
-        for batch in weighting.neighborhood_chunks(
-            weighting.nodes(), self.chunk_size
-        ):
-            group = batch.node_group()
+    def steps(self, run: PruningRun) -> None:
+        k = self._threshold(run.weighting)
+
+        def top_k(group: NodeGroup) -> Pairs:
             selected, segments = topk_per_segment(group, k)
-            entities = group.entities[segments]
-            neighbors = group.neighbors[selected]
-            sink.append(
-                np.minimum(entities, neighbors), np.maximum(entities, neighbors)
+            return canonical_pairs(
+                group.entities[segments], group.neighbors[selected]
             )
+
+        run.select(top_k)
 
     def prune_per_edge(self, weighting: EdgeWeighting) -> ComparisonCollection:
         k = self._threshold(weighting)
@@ -132,6 +135,15 @@ class CardinalityNodePruning(PruningAlgorithm):
         return ComparisonCollection(retained, weighting.num_entities)
 
 
+def _over_mean(group: NodeGroup) -> Pairs:
+    """WNP's step: each node's edges at or above its neighbourhood mean."""
+    counts = group.counts
+    keep = group.weights >= np.repeat(segment_means(group), counts)
+    return canonical_pairs(
+        np.repeat(group.entities, counts)[keep], group.neighbors[keep]
+    )
+
+
 class WeightedNodePruning(PruningAlgorithm):
     """WNP: keep edges at or above their neighbourhood's mean weight.
 
@@ -142,20 +154,8 @@ class WeightedNodePruning(PruningAlgorithm):
 
     name = "WNP"
 
-    def _prune_into(
-        self, weighting: EdgeWeighting, sink: ComparisonSink
-    ) -> None:
-        for batch in weighting.neighborhood_chunks(
-            weighting.nodes(), self.chunk_size
-        ):
-            group = batch.node_group()
-            counts = group.counts
-            keep = group.weights >= np.repeat(segment_means(group), counts)
-            entities = np.repeat(group.entities, counts)[keep]
-            neighbors = group.neighbors[keep]
-            sink.append(
-                np.minimum(entities, neighbors), np.maximum(entities, neighbors)
-            )
+    def steps(self, run: PruningRun) -> None:
+        run.select(_over_mean)
 
     def prune_per_edge(self, weighting: EdgeWeighting) -> ComparisonCollection:
         retained: list[Comparison] = []

@@ -15,27 +15,37 @@ algorithms integrate it:
 Each edge is thus kept at most once: same recall as the originals, no
 redundant comparisons — on average 30% fewer comparisons for free.
 
-Phase 1 has two equivalent representations: the dict-of-sets / dict-of-floats
-form consumed by the per-edge shims and the parallel executor's chunk tasks,
-and the flat array form (sorted directed-pair keys, per-entity threshold
-array) consumed by the batched phase 2.
+Both phases are chunk steps (:class:`~repro.core.pruning.base.PruningRun`):
+phase 1 derives the criterion per node chunk, merged owner-side into a flat
+array form (sorted directed-pair keys, per-entity threshold array); phase 2
+is one retention mask per :class:`~repro.core.edge_stream.EdgeBatch`
+(:func:`key_retention`, :func:`threshold_retention`), shared with the
+incremental resolver's exports. The per-edge references keep the
+dict-of-sets / dict-of-floats form of phase 1.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
+
 import numpy as np
 
 from repro.core.edge_stream import (
+    EdgeBatch,
+    FusedChunk,
     directed_pair_keys,
     keys_contain,
     neighborhood_mean,
     segment_means,
     topk_per_segment,
 )
-from repro.core.edge_weighting import EdgeWeighting, weight_and_prune_chunks
-from repro.core.pruning.base import PruningAlgorithm, cardinality_node_threshold
+from repro.core.edge_weighting import EdgeWeighting
+from repro.core.pruning.base import (
+    PruningAlgorithm,
+    PruningRun,
+    cardinality_node_threshold,
+)
 from repro.datamodel.blocks import ComparisonCollection
-from repro.datamodel.sinks import ComparisonSink
 from repro.utils.topk import TopKHeap
 
 Comparison = tuple[int, int]
@@ -58,42 +68,6 @@ def nearest_neighbor_sets(
     return retained
 
 
-def nearest_neighbor_keys(
-    weighting: EdgeWeighting,
-    k: int,
-    chunk_size: int | None = None,
-    entities: "list[int] | None" = None,
-) -> np.ndarray:
-    """Array form of phase 1 CNP: sorted directed ``entity -> neighbor`` keys.
-
-    Selects exactly the same per-node top-k as :func:`nearest_neighbor_sets`
-    (grouped segment top-k with the heap's tie rule) and encodes each
-    retained directed pair as one sortable int64 key for
-    ``np.searchsorted`` lookups.
-
-    ``entities`` restricts the pass to a node subset (dirty-neighborhood
-    re-pruning on a mutable index); the default covers every graph node.
-    """
-    num_entities = weighting.num_entities
-    chunks: list[np.ndarray] = []
-    for batch in weighting.neighborhood_chunks(
-        weighting.nodes() if entities is None else entities, chunk_size
-    ):
-        group = batch.node_group()
-        selected, segments = topk_per_segment(group, k)
-        if selected.size:
-            chunks.append(
-                directed_pair_keys(
-                    group.entities[segments],
-                    group.neighbors[selected],
-                    num_entities,
-                )
-            )
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(chunks))
-
-
 def neighborhood_thresholds(weighting: EdgeWeighting) -> dict[int, float]:
     """Phase 1 of (redefined/reciprocal) WNP: mean weight per neighbourhood."""
     thresholds: dict[int, float] = {}
@@ -104,70 +78,91 @@ def neighborhood_thresholds(weighting: EdgeWeighting) -> dict[int, float]:
     return thresholds
 
 
-def neighborhood_threshold_array(
-    weighting: EdgeWeighting,
-    chunk_size: int | None = None,
-    entities: "list[int] | None" = None,
-) -> np.ndarray:
-    """Array form of phase 1 WNP: per-entity mean weight, ``+inf`` when the
-    entity has no neighbourhood (so the missing-threshold comparison always
-    fails, as with the dict's ``.get(entity, inf)``).
+def top_k_keys(
+    chunks: "Iterable[FusedChunk]", k: int, num_entities: int
+) -> "list[np.ndarray]":
+    """Phase 1 step of (redefined/reciprocal) CNP: each chunk's per-node
+    top-k as directed ``entity -> neighbor`` keys.
 
-    ``entities`` restricts the pass to a node subset (dirty-neighborhood
-    re-pruning on a mutable index); entities outside the subset keep the
-    ``+inf`` default.
+    Selects exactly the same per-node top-k as :func:`nearest_neighbor_sets`
+    (grouped segment top-k with the heap's tie rule); each retained
+    directed pair becomes one sortable int64 key.
     """
-    thresholds = np.full(weighting.num_entities, np.inf, dtype=np.float64)
-    for batch in weighting.neighborhood_chunks(
-        weighting.nodes() if entities is None else entities, chunk_size
-    ):
-        group = batch.node_group()
-        thresholds[group.entities] = segment_means(group)
+    keys = []
+    for chunk in chunks:
+        group = chunk.group
+        selected, segments = topk_per_segment(group, k)
+        keys.append(
+            directed_pair_keys(
+                group.entities[segments], group.neighbors[selected], num_entities
+            )
+        )
+    return keys
+
+
+def sorted_keys(parts: "list[list[np.ndarray]]") -> np.ndarray:
+    """Phase 1 merge of (redefined/reciprocal) CNP: one sorted key array
+    for ``np.searchsorted`` lookups."""
+    keys = [array for part in parts for array in part]
+    if not keys:
+        return np.empty(0, dtype=np.int64)
+    return np.sort(np.concatenate(keys))
+
+
+def neighborhood_means(
+    chunks: "Iterable[FusedChunk]",
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Phase 1 step of (redefined/reciprocal) WNP: each chunk's
+    ``(entities, mean weights)``."""
+    return [(chunk.group.entities, segment_means(chunk.group)) for chunk in chunks]
+
+
+def threshold_array(
+    num_entities: int, parts: "list[list[tuple[np.ndarray, np.ndarray]]]"
+) -> np.ndarray:
+    """Phase 1 merge of (redefined/reciprocal) WNP: per-entity mean weight,
+    ``+inf`` when the entity has no neighbourhood (so the missing-threshold
+    comparison always fails, as with the dict's ``.get(entity, inf)``)."""
+    thresholds = np.full(num_entities, np.inf, dtype=np.float64)
+    for part in parts:
+        for entities, means in part:
+            thresholds[entities] = means
     return thresholds
 
 
-def stream_key_retention(
-    weighting: EdgeWeighting,
-    keys: np.ndarray,
-    conjunctive: bool,
-    sink: ComparisonSink,
-    chunk_size: int | None = None,
-) -> None:
-    """Phase 2 of (redefined/reciprocal) CNP: stream every distinct edge and
-    retain it when its directed keys appear in ``keys`` for either endpoint
-    (disjunctive) or both (conjunctive). Shared by the batch algorithms and
-    the incremental resolver's full-export path."""
-    num_entities = weighting.num_entities
-    for batch in weighting.iter_edge_batches(chunk_size):
+def key_retention(
+    keys: np.ndarray, conjunctive: bool, num_entities: int
+) -> "Callable[[EdgeBatch], np.ndarray]":
+    """Phase 2 step of (redefined/reciprocal) CNP: retain an edge when its
+    directed keys appear in ``keys`` for either endpoint (disjunctive) or
+    both (conjunctive). Shared by the batch algorithms and the incremental
+    resolver's full-export path."""
+
+    def retain(batch: EdgeBatch) -> np.ndarray:
         in_left = keys_contain(
             keys, directed_pair_keys(batch.sources, batch.targets, num_entities)
         )
         in_right = keys_contain(
             keys, directed_pair_keys(batch.targets, batch.sources, num_entities)
         )
-        keep = (in_left & in_right) if conjunctive else (in_left | in_right)
-        sink.append(batch.sources[keep], batch.targets[keep])
+        return (in_left & in_right) if conjunctive else (in_left | in_right)
+
+    return retain
 
 
-def stream_threshold_retention(
-    weighting: EdgeWeighting,
-    thresholds: np.ndarray,
-    conjunctive: bool,
-    sink: ComparisonSink,
-    chunk_size: int | None = None,
-) -> None:
-    """Phase 2 of (redefined/reciprocal) WNP: stream every distinct edge and
-    retain it when its weight reaches the per-entity threshold of either
-    endpoint (disjunctive) or both (conjunctive)."""
-    for batch in weighting.iter_edge_batches(chunk_size):
+def threshold_retention(
+    thresholds: np.ndarray, conjunctive: bool
+) -> "Callable[[EdgeBatch], np.ndarray]":
+    """Phase 2 step of (redefined/reciprocal) WNP: retain an edge when its
+    weight reaches the per-entity threshold of either endpoint
+    (disjunctive) or both (conjunctive)."""
+
+    def retain(batch: EdgeBatch) -> np.ndarray:
         over_left = batch.weights >= thresholds[batch.sources]
         over_right = batch.weights >= thresholds[batch.targets]
-        keep = (
-            (over_left & over_right)
-            if conjunctive
-            else (over_left | over_right)
-        )
-        sink.append(batch.sources[keep], batch.targets[keep])
+        return (over_left & over_right) if conjunctive else (over_left | over_right)
+
+    return retain
 
 
 class RedefinedCardinalityNodePruning(PruningAlgorithm):
@@ -187,61 +182,13 @@ class RedefinedCardinalityNodePruning(PruningAlgorithm):
             return self.k
         return cardinality_node_threshold(weighting.index)
 
-    def _prune_into(
-        self, weighting: EdgeWeighting, sink: ComparisonSink
-    ) -> None:
-        if self._use_fused_path(weighting, sink):
-            self._prune_fused(weighting, sink)
-            return
-        keys = nearest_neighbor_keys(
-            weighting, self._threshold(weighting), self.chunk_size
+    def steps(self, run: PruningRun) -> None:
+        k = self._threshold(run.weighting)
+        num_entities = run.weighting.num_entities
+        keys = run.criteria(
+            lambda chunks: top_k_keys(chunks, k, num_entities), sorted_keys
         )
-        stream_key_retention(
-            weighting, keys, self.conjunctive, sink, self.chunk_size
-        )
-
-    def _prune_fused(
-        self, weighting: EdgeWeighting, sink: ComparisonSink
-    ) -> None:
-        """Single-gather variant: phase 1 and phase 2 share the chunks.
-
-        Each neighbourhood is weighted once into a
-        :class:`~repro.core.edge_stream.FusedChunk`; the top-k selection runs
-        on the full segments and the phase-2 barrier (the complete key set)
-        is honoured by caching the chunks' emitted slices rather than
-        re-streaming the graph. Same retained pairs, same emission order.
-        """
-        k = self._threshold(weighting)
-        num_entities = weighting.num_entities
-        chunks = list(
-            weight_and_prune_chunks(weighting, weighting.nodes(), self.chunk_size)
-        )
-        key_parts: list[np.ndarray] = []
-        for fused in chunks:
-            selected, segments = topk_per_segment(fused.group, k)
-            if selected.size:
-                key_parts.append(
-                    directed_pair_keys(
-                        fused.group.entities[segments],
-                        fused.group.neighbors[selected],
-                        num_entities,
-                    )
-                )
-        keys = (
-            np.sort(np.concatenate(key_parts))
-            if key_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        for fused in chunks:
-            batch = fused.emitted
-            in_left = keys_contain(
-                keys, directed_pair_keys(batch.sources, batch.targets, num_entities)
-            )
-            in_right = keys_contain(
-                keys, directed_pair_keys(batch.targets, batch.sources, num_entities)
-            )
-            keep = (in_left & in_right) if self.conjunctive else (in_left | in_right)
-            sink.append(batch.sources[keep], batch.targets[keep])
+        run.retain(key_retention(keys, self.conjunctive, num_entities))
 
     def prune_per_edge(self, weighting: EdgeWeighting) -> ComparisonCollection:
         nearest = nearest_neighbor_sets(weighting, self._threshold(weighting))
@@ -262,43 +209,12 @@ class RedefinedWeightedNodePruning(PruningAlgorithm):
     name = "ReWNP"
     conjunctive = False
 
-    def _prune_into(
-        self, weighting: EdgeWeighting, sink: ComparisonSink
-    ) -> None:
-        if self._use_fused_path(weighting, sink):
-            self._prune_fused(weighting, sink)
-            return
-        thresholds = neighborhood_threshold_array(weighting, self.chunk_size)
-        stream_threshold_retention(
-            weighting, thresholds, self.conjunctive, sink, self.chunk_size
+    def steps(self, run: PruningRun) -> None:
+        thresholds = run.criteria(
+            neighborhood_means,
+            lambda parts: threshold_array(run.weighting.num_entities, parts),
         )
-
-    def _prune_fused(
-        self, weighting: EdgeWeighting, sink: ComparisonSink
-    ) -> None:
-        """Single-gather variant: per-node means and retention share chunks.
-
-        ``segment_means`` over the cached full segments is bit-identical to
-        :func:`neighborhood_threshold_array` (same per-segment reduction over
-        the same values), so the retained set and order match the two-pass
-        path exactly.
-        """
-        thresholds = np.full(weighting.num_entities, np.inf, dtype=np.float64)
-        chunks = list(
-            weight_and_prune_chunks(weighting, weighting.nodes(), self.chunk_size)
-        )
-        for fused in chunks:
-            thresholds[fused.group.entities] = segment_means(fused.group)
-        for fused in chunks:
-            batch = fused.emitted
-            over_left = batch.weights >= thresholds[batch.sources]
-            over_right = batch.weights >= thresholds[batch.targets]
-            keep = (
-                (over_left & over_right)
-                if self.conjunctive
-                else (over_left | over_right)
-            )
-            sink.append(batch.sources[keep], batch.targets[keep])
+        run.retain(threshold_retention(thresholds, self.conjunctive))
 
     def prune_per_edge(self, weighting: EdgeWeighting) -> ComparisonCollection:
         thresholds = neighborhood_thresholds(weighting)

@@ -1016,28 +1016,6 @@ def stream_pruned(
         raise failure[0]
 
 
-def ensure_view(
-    comparisons: ComparisonCollection, sink: "ComparisonSink | None" = None
-) -> ComparisonView:
-    """Route an eager collection through a sink (legacy-algorithm bridge).
-
-    Used when a pruning implementation predates the sink API: its eager
-    output is drained into ``sink`` (an :class:`InMemorySink` when ``None``)
-    so callers still receive a uniform :class:`ComparisonView`.
-    """
-    if isinstance(comparisons, ComparisonView) and sink is None:
-        return comparisons
-    collector = sink if sink is not None else InMemorySink()
-    try:
-        pairs = comparisons.pairs
-        for start in range(0, len(pairs), DEFAULT_SHARD_PAIRS):
-            collector.append_pairs(pairs[start : start + DEFAULT_SHARD_PAIRS])
-    except BaseException:
-        collector.abort()
-        raise
-    return collector.finalize(comparisons.num_entities)
-
-
 __all__ = [
     "CHECKPOINT_NAME",
     "CHECKPOINT_VERSION",
@@ -1050,7 +1028,6 @@ __all__ = [
     "InMemorySink",
     "SinkClosed",
     "SpillSink",
-    "ensure_view",
     "load_spilled_view",
     "pair_checksum",
     "pid_alive",

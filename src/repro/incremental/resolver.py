@@ -68,10 +68,8 @@ from repro.core.pruning.node_centric import (
     NODE_CRITERIA_BATCH,
     node_criteria,
 )
-from repro.core.pruning.redefined import (
-    stream_key_retention,
-    stream_threshold_retention,
-)
+from repro.core.pruning.base import PruningRun
+from repro.core.pruning.redefined import key_retention, threshold_retention
 from repro.core.vectorized import VectorizedEdgeWeighting
 from repro.core.wal import (
     SNAPSHOT_SUBDIR,
@@ -665,14 +663,18 @@ class IncrementalMetaBlocking:
             elif algorithm == "WNP":
                 self._export_wnp(sink)
             elif algorithm in ("ReCNP", "RcCNP"):
-                keys = self._criteria_keys()
-                stream_key_retention(
-                    weighting, keys, algorithm == "RcCNP", sink
+                PruningRun(weighting, sink).retain(
+                    key_retention(
+                        self._criteria_keys(),
+                        algorithm == "RcCNP",
+                        weighting.num_entities,
+                    )
                 )
             else:  # ReWNP / RcWNP
-                thresholds = self._criteria_thresholds()
-                stream_threshold_retention(
-                    weighting, thresholds, algorithm == "RcWNP", sink
+                PruningRun(weighting, sink).retain(
+                    threshold_retention(
+                        self._criteria_thresholds(), algorithm == "RcWNP"
+                    )
                 )
         except BaseException:
             sink.abort()

@@ -1,4 +1,4 @@
-"""The ``repro.api`` facade and the execution-kwargs deprecation policy."""
+"""The ``repro.api`` facade and its execution configuration."""
 
 import warnings
 
@@ -7,10 +7,7 @@ import pytest
 import repro
 from repro import api
 from repro.blocking import QGramsBlocking, TokenBlocking
-from repro.core.execution import (
-    EXECUTION_KWARGS_REMOVAL_RELEASE,
-    ExecutionConfig,
-)
+from repro.core.execution import ExecutionConfig
 from repro.datamodel import BlockCollection
 from repro.datasets import paper_example_dataset
 from repro.incremental import IncrementalMetaBlocking
@@ -76,16 +73,6 @@ class TestFacadeSurface:
 
 
 class TestDeprecationPolicy:
-    def test_meta_block_alias_names_config_and_release(self):
-        blocks = api.build_index(paper_example_dataset())
-        with pytest.warns(DeprecationWarning) as caught:
-            api.meta_block(blocks, algorithm="CNP", parallel=1)
-        (warning,) = caught.list
-        message = str(warning.message)
-        assert "parallel" in message
-        assert "ExecutionConfig" in message
-        assert EXECUTION_KWARGS_REMOVAL_RELEASE in message
-
     def test_execution_config_is_the_quiet_path(self):
         blocks = api.build_index(paper_example_dataset())
         with warnings.catch_warnings():

@@ -28,6 +28,7 @@ from repro.core.edge_weighting import (
     OptimizedEdgeWeighting,
     OriginalEdgeWeighting,
 )
+from repro.core.execution import ExecutionConfig
 from repro.core.pipeline import meta_block
 from repro.core.pruning import PRUNING_ALGORITHMS
 from repro.core.vectorized import VectorizedEdgeWeighting
@@ -324,10 +325,12 @@ class TestPipelineChunkSize:
                 small_dirty_blocks,
                 scheme="JS",
                 algorithm=algorithm,
-                chunk_size=5,
+                execution=ExecutionConfig(chunk_size=5),
             )
             assert tiny.comparisons.pairs == default.comparisons.pairs
 
     def test_chunk_size_validated(self, small_dirty_blocks):
         with pytest.raises(ValueError, match="chunk_size"):
-            meta_block(small_dirty_blocks, chunk_size=0)
+            meta_block(
+                small_dirty_blocks, execution=ExecutionConfig(chunk_size=0)
+            )

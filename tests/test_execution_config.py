@@ -1,29 +1,16 @@
-"""The unified ExecutionConfig surface and its deprecated kwarg aliases."""
+"""The unified ExecutionConfig surface: the one way to configure execution."""
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
 from repro.blocking import TokenBlocking
-from repro.core.execution import (
-    DEPRECATED_EXECUTION_KWARGS,
-    ExecutionConfig,
-    resolve_execution,
-)
+from repro.core.execution import ExecutionConfig
 from repro.core.pipeline import MetaBlockingWorkflow, meta_block
 from repro.core.pruning import WeightedEdgePruning
 from repro.datamodel.sinks import InMemorySink, SpillSink
-
-
-def deprecation_messages(records):
-    return [
-        str(r.message)
-        for r in records
-        if issubclass(r.category, DeprecationWarning)
-    ]
 
 
 class TestExecutionConfig:
@@ -111,69 +98,7 @@ class TestExecutionConfig:
         assert config == ExecutionConfig(parallel=2)
 
 
-class TestResolveExecution:
-    def test_no_legacy_kwargs_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = resolve_execution(ExecutionConfig(parallel=2))
-        assert config.parallel == 2
-
-    def test_legacy_kwargs_warn_once_naming_all_offenders(self):
-        with pytest.warns(DeprecationWarning) as records:
-            config = resolve_execution(None, parallel=2, chunk_size=1024)
-        messages = deprecation_messages(records)
-        assert len(messages) == 1
-        assert "chunk_size, parallel" in messages[0]
-        assert "ExecutionConfig" in messages[0]
-        assert config == ExecutionConfig(parallel=2, chunk_size=1024)
-
-    def test_legacy_kwargs_fill_unset_config_fields(self):
-        with pytest.warns(DeprecationWarning):
-            config = resolve_execution(
-                ExecutionConfig(parallel=4), chunk_size=512
-            )
-        assert config == ExecutionConfig(parallel=4, chunk_size=512)
-
-    def test_legacy_chunk_size_overrides_auto_default(self):
-        # chunk_size's "auto" default counts as unset, not a conflict.
-        with pytest.warns(DeprecationWarning):
-            config = resolve_execution(ExecutionConfig(), chunk_size=512)
-        assert config.chunk_size == 512
-
-    def test_legacy_chunk_size_conflicts_with_explicit_int(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="chunk_size given both"):
-                resolve_execution(
-                    ExecutionConfig(chunk_size=1024), chunk_size=512
-                )
-
-    def test_conflicting_values_raise(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="parallel given both"):
-                resolve_execution(ExecutionConfig(parallel=4), parallel=2)
-
-    def test_equal_values_are_not_a_conflict(self):
-        with pytest.warns(DeprecationWarning):
-            config = resolve_execution(ExecutionConfig(parallel=4), parallel=4)
-        assert config.parallel == 4
-
-    def test_all_documented_kwargs_are_accepted(self):
-        kwargs = {key: 2 for key in DEPRECATED_EXECUTION_KWARGS}
-        with pytest.warns(DeprecationWarning):
-            config = resolve_execution(None, **kwargs)
-        assert config.parallel == 2
-
-
 class TestPipelineIntegration:
-    def test_meta_block_legacy_kwargs_warn_but_work(self, example_blocks):
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            legacy = meta_block(example_blocks, parallel=1)
-        modern = meta_block(
-            example_blocks, execution=ExecutionConfig(parallel=1)
-        )
-        assert list(legacy.comparisons) == list(modern.comparisons)
-        assert modern.execution == ExecutionConfig(parallel=1)
-
     def test_meta_block_does_not_mutate_caller_algorithm(self, example_blocks):
         # Regression: the chunk_size override used to be written straight
         # onto the caller's instance and leaked across calls.
@@ -200,15 +125,10 @@ class TestPipelineIntegration:
             TokenBlocking(),
             execution=ExecutionConfig(parallel=2, chunk_size=1024),
         )
-        assert workflow.parallel == 2
-        assert workflow.chunk_size == 1024
+        assert workflow.execution.parallel == 2
+        assert workflow.execution.chunk_size == 1024
         result = workflow.run(small_clean_clean)
         assert result.comparisons.cardinality > 0
-
-    def test_workflow_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            workflow = MetaBlockingWorkflow(TokenBlocking(), parallel=2)
-        assert workflow.execution.parallel == 2
 
     def test_workflow_config_round_trip_carries_execution(self, tmp_path):
         workflow = MetaBlockingWorkflow(

@@ -1,11 +1,11 @@
-"""Fused weight+prune kernels, degree-aware chunking and phase timings.
+"""Cached versus streamed retention, mass-balanced chunking, phase timings.
 
-The fused paths weight each node chunk once (through the backend's
-``neighborhood_batch`` kernel) and serve both the criterion phase and the
-retention phase from it. They are an execution detail, so every test here
-asserts exact equivalence with the per-edge references: the two-pass stream
-that spill runs take, ``prune_per_edge``, and each node's scalar
-``neighborhood()``.
+An in-memory run weighs each node chunk once (through the backend's
+``neighborhood_batch`` kernel, in :func:`weight_and_prune_chunks`) and
+retains from the emitted edges it cached; a spill run re-streams them. The
+choice is an execution detail, so every test here asserts exact
+equivalence with the references: the streamed retention of a spill run,
+``prune_per_edge``, and each node's scalar ``neighborhood()``.
 """
 
 from __future__ import annotations
@@ -26,18 +26,18 @@ from repro.core.parallel import (
     resolve_workers,
 )
 from repro.core.pipeline import meta_block
-from repro.core.pruning import PRUNING_ALGORITHMS
+from repro.core.pruning import PRUNING_ALGORITHMS, PruningRun
 from repro.core.vectorized import VectorizedEdgeWeighting
 from repro.datamodel.blocks import Block, BlockCollection
-from repro.datamodel.sinks import InMemorySink
+from repro.datamodel.sinks import BoundedGeneratorSink, InMemorySink, SpillSink
 
 NODE_ORDERED_BACKENDS = {
     "optimized": OptimizedEdgeWeighting,
     "vectorized": VectorizedEdgeWeighting,
 }
 
-#: The algorithms with a fused single-gather path (plus their reciprocal
-#: subclasses, which inherit it).
+#: The algorithms whose retention follows a criterion phase, so it reads
+#: cached or re-streamed edges.
 FUSED_ALGORITHMS = ("WEP", "ReCNP", "ReWNP", "RcCNP", "RcWNP")
 
 #: The schemes the fused cases run under: the paper's five plus X2, whose
@@ -107,11 +107,16 @@ def dirty_blocks():
     return COLLECTIONS["dirty"]
 
 
-def _with_fused(algorithm: str, fused: bool, chunk_size=None):
+def _cached_and_streamed(algorithm: str, weighting, chunk_size=None):
+    """The algorithm's pairs, in emission order, from an in-memory run
+    (cached retention) and from a spill run (streamed retention)."""
     pruning = PRUNING_ALGORITHMS[algorithm]()
-    pruning.fused = fused
     pruning.chunk_size = chunk_size
-    return pruning
+    cached = pruning.prune(weighting).pairs
+    view = pruning.prune(weighting, sink=SpillSink(shard_pairs=2))
+    streamed = list(view)
+    view.release()
+    return cached, streamed
 
 
 def _chunk_cases():
@@ -189,16 +194,16 @@ class TestFusedChunks:
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
 class TestFusedMatchesLegacy:
-    """The fused path emits the pairs of the two-pass path that spill runs
-    take and of the ``prune_per_edge`` reference, in their order."""
+    """Cached retention emits the pairs of the streamed retention that
+    spill runs take and of the ``prune_per_edge`` reference, in their
+    order."""
 
     @pytest.mark.parametrize("backend", sorted(NODE_ORDERED_BACKENDS))
     def test_exact_pairs_and_order(self, scheme, algorithm, backend):
         for name, blocks in COLLECTIONS.items():
             weighting = NODE_ORDERED_BACKENDS[backend](blocks, scheme)
-            fused = _with_fused(algorithm, True).prune(weighting).pairs
-            legacy = _with_fused(algorithm, False).prune(weighting).pairs
-            assert fused == legacy, name
+            cached, streamed = _cached_and_streamed(algorithm, weighting)
+            assert cached == streamed, name
 
     def test_tiny_chunks(self, scheme, algorithm):
         for backend, weighting_class in sorted(NODE_ORDERED_BACKENDS.items()):
@@ -209,11 +214,11 @@ class TestFusedMatchesLegacy:
                 )
                 for chunk_size in SMALL_CHUNK_SIZES:
                     label = f"{backend}/{name}/chunk_size={chunk_size}"
-                    fused = _with_fused(algorithm, True, chunk_size)
-                    legacy = _with_fused(algorithm, False, chunk_size)
-                    pairs = fused.prune(weighting).pairs
-                    assert pairs == legacy.prune(weighting).pairs, label
-                    assert pairs == per_edge, label
+                    cached, streamed = _cached_and_streamed(
+                        algorithm, weighting, chunk_size
+                    )
+                    assert cached == streamed, label
+                    assert cached == per_edge, label
 
     def test_per_edge_shim_agrees(self, scheme, algorithm):
         for backend, weighting_class in sorted(NODE_ORDERED_BACKENDS.items()):
@@ -227,13 +232,16 @@ class TestFusedMatchesLegacy:
 
 
 class TestFusedGates:
+    """:attr:`PruningRun.caches` is the one decision between cached and
+    streamed retention."""
+
     def test_block_ordered_backend_skips_fusion(self, dirty_blocks):
-        """Original's iter_edges is block-ordered, so fusing would reorder
-        the emitted pairs; the gate must route it to the legacy path."""
+        """Original's iter_edges is block-ordered, so caching node chunks
+        would reorder the emitted pairs; the run must re-stream them."""
         weighting = OriginalEdgeWeighting(dirty_blocks, "JS")
         assert not weighting.node_ordered_edge_stream
         pruning = PRUNING_ALGORITHMS["ReWNP"]()
-        assert not pruning._use_fused_path(weighting, InMemorySink())
+        assert not PruningRun(weighting, InMemorySink()).caches
         reference = sorted(
             PRUNING_ALGORITHMS["ReWNP"]()
             .prune(VectorizedEdgeWeighting(dirty_blocks, "JS"))
@@ -244,6 +252,16 @@ class TestFusedGates:
     def test_node_ordered_flag_defaults_true(self, dirty_blocks):
         for cls in NODE_ORDERED_BACKENDS.values():
             assert cls(dirty_blocks, "JS").node_ordered_edge_stream
+
+    def test_only_in_memory_runs_cache(self, dirty_blocks):
+        """Spill runs bound their memory and generator sinks pipeline their
+        batches, so both re-stream the edges."""
+        weighting = VectorizedEdgeWeighting(dirty_blocks, "JS")
+        assert PruningRun(weighting, InMemorySink()).caches
+        spill = SpillSink()
+        assert not PruningRun(weighting, spill).caches
+        spill.abort()
+        assert not PruningRun(weighting, BoundedGeneratorSink()).caches
 
 
 class TestMassPartitioning:
@@ -314,6 +332,15 @@ class TestPhaseTimings:
         assert all(value >= 0.0 for value in timings.values())
         assert timings["weight"] + timings["prune"] > 0.0
 
+    def test_cached_retention_books_prune(self, dirty_blocks):
+        """Retention is pruning work whether it reads cached batches or
+        re-streams them, so an in-memory run books it as ``prune``."""
+        with ParallelMetaBlockingExecutor(
+            VectorizedEdgeWeighting(dirty_blocks, "JS"), workers=2, chunks=3
+        ) as executor:
+            executor.prune(PRUNING_ALGORITHMS["ReWNP"]())
+        assert executor.timings["prune"] > 0.0
+
     def test_timings_reset_per_prune(self, dirty_blocks):
         executor = ParallelMetaBlockingExecutor(
             VectorizedEdgeWeighting(dirty_blocks, "JS"),
@@ -348,20 +375,18 @@ class TestPhaseTimings:
         assert serial.phase_timings == {}
 
 
-class TestAutoChunkingPipeline:
-    def test_auto_and_even_chunking_retain_identical_pairs(
-        self, dirty_blocks
-    ):
-        auto = meta_block(
+class TestChunkSizePipeline:
+    def test_edge_batch_size_retains_identical_pairs(self, dirty_blocks):
+        default = meta_block(
             dirty_blocks,
             algorithm="RcWNP",
             execution=ExecutionConfig(parallel=2),
         )
-        even = meta_block(
+        small = meta_block(
             dirty_blocks,
             algorithm="RcWNP",
             execution=ExecutionConfig(parallel=2, chunk_size=4),
         )
         serial = meta_block(dirty_blocks, algorithm="RcWNP")
-        assert list(auto.comparisons) == list(serial.comparisons)
-        assert list(even.comparisons) == list(serial.comparisons)
+        assert list(default.comparisons) == list(serial.comparisons)
+        assert list(small.comparisons) == list(serial.comparisons)

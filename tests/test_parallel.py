@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import pytest
@@ -14,12 +15,12 @@ from repro.core.parallel import (
     PARALLEL_ALGORITHMS,
     PARALLEL_BACKENDS,
     ParallelMetaBlockingExecutor,
-    ParallelNodeCentricExecutor,
     parallel_prune,
     partition_ranges,
     resolve_workers,
     supports_parallel,
 )
+from repro.core.execution import ExecutionConfig
 from repro.core.pipeline import meta_block
 from repro.core.pruning import PRUNING_ALGORITHMS, PruningAlgorithm
 from repro.core.vectorized import VectorizedEdgeWeighting
@@ -60,7 +61,7 @@ class TestSupports:
 
     def test_prune_rejects_unknown_algorithm(self, example_blocks):
         class CustomPruning(PruningAlgorithm):
-            def prune(self, weighting):
+            def prune(self, weighting, sink=None):
                 raise NotImplementedError
 
         assert not supports_parallel(CustomPruning())
@@ -70,9 +71,6 @@ class TestSupports:
         with pytest.raises(ValueError, match="not node-partitionable"):
             executor.prune(CustomPruning())
 
-    def test_node_centric_alias_kept(self):
-        assert ParallelNodeCentricExecutor is ParallelMetaBlockingExecutor
-
 
 @pytest.mark.parametrize("name", ALL_ALGORITHMS)
 class TestMatchesSerial:
@@ -81,7 +79,7 @@ class TestMatchesSerial:
     def test_paper_example_multiprocess(self, example_blocks, name):
         algorithm = PRUNING_ALGORITHMS[name]()
         serial = algorithm.prune(OptimizedEdgeWeighting(example_blocks, "JS"))
-        executor = ParallelNodeCentricExecutor(
+        executor = ParallelMetaBlockingExecutor(
             OptimizedEdgeWeighting(example_blocks, "JS"), workers=2, chunks=3
         )
         assert executor.prune(algorithm).pairs == serial.pairs
@@ -90,7 +88,7 @@ class TestMatchesSerial:
         blocks = tiny_dirty_blocks.sorted_by_cardinality()
         algorithm = PRUNING_ALGORITHMS[name]()
         serial = algorithm.prune(OptimizedEdgeWeighting(blocks, "JS"))
-        executor = ParallelNodeCentricExecutor(
+        executor = ParallelMetaBlockingExecutor(
             OptimizedEdgeWeighting(blocks, "JS"), workers=2, chunks=7
         )
         assert executor.prune(algorithm).pairs == serial.pairs
@@ -99,7 +97,7 @@ class TestMatchesSerial:
         blocks = small_clean_blocks.sorted_by_cardinality()
         algorithm = PRUNING_ALGORITHMS[name]()
         serial = algorithm.prune(OptimizedEdgeWeighting(blocks, "JS"))
-        executor = ParallelNodeCentricExecutor(
+        executor = ParallelMetaBlockingExecutor(
             OptimizedEdgeWeighting(blocks, "JS"), workers=2, chunks=5
         )
         assert executor.prune(algorithm).pairs == serial.pairs
@@ -107,7 +105,7 @@ class TestMatchesSerial:
     def test_vectorized_backend(self, example_blocks, name):
         algorithm = PRUNING_ALGORITHMS[name]()
         serial = algorithm.prune(VectorizedEdgeWeighting(example_blocks, "JS"))
-        executor = ParallelNodeCentricExecutor(
+        executor = ParallelMetaBlockingExecutor(
             VectorizedEdgeWeighting(example_blocks, "JS"), workers=2
         )
         assert executor.prune(algorithm).pairs == serial.pairs
@@ -117,7 +115,7 @@ class TestMatchesSerial:
         # its global iter_edges() ordering, so compare as sets of pairs.
         algorithm = PRUNING_ALGORITHMS[name]()
         serial = algorithm.prune(OriginalEdgeWeighting(example_blocks, "JS"))
-        executor = ParallelNodeCentricExecutor(
+        executor = ParallelMetaBlockingExecutor(
             OriginalEdgeWeighting(example_blocks, "JS"), workers=2
         )
         assert sorted(executor.prune(algorithm).pairs) == sorted(serial.pairs)
@@ -125,7 +123,7 @@ class TestMatchesSerial:
     def test_ejs_degrees_shared_with_workers(self, example_blocks, name):
         algorithm = PRUNING_ALGORITHMS[name]()
         serial = algorithm.prune(OptimizedEdgeWeighting(example_blocks, "EJS"))
-        executor = ParallelNodeCentricExecutor(
+        executor = ParallelMetaBlockingExecutor(
             OptimizedEdgeWeighting(example_blocks, "EJS"), workers=2
         )
         assert executor.prune(algorithm).pairs == serial.pairs
@@ -134,10 +132,40 @@ class TestMatchesSerial:
         # workers=1 exercises the same chunked merge without a pool.
         algorithm = PRUNING_ALGORITHMS[name]()
         serial = algorithm.prune(OptimizedEdgeWeighting(example_blocks, "JS"))
-        executor = ParallelNodeCentricExecutor(
+        executor = ParallelMetaBlockingExecutor(
             OptimizedEdgeWeighting(example_blocks, "JS"), workers=1, chunks=4
         )
         assert executor.prune(algorithm).pairs == serial.pairs
+
+
+class TestCachedRetentionUnderContention:
+    def test_pool_threads_share_the_cache(self, small_clean_blocks):
+        """Phase-one tasks fill one cache of emitted batches from every pool
+        thread and phase-two tasks read it; with more threads than cores
+        and a short switch interval the pairs still equal serial's."""
+        blocks = small_clean_blocks.sorted_by_cardinality()
+        names = ("WEP", "ReCNP", "RcWNP")
+        serial = {
+            name: PRUNING_ALGORITHMS[name]()
+            .prune(OptimizedEdgeWeighting(blocks, "JS"))
+            .pairs
+            for name in names
+        }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ParallelMetaBlockingExecutor(
+                OptimizedEdgeWeighting(blocks, "JS"),
+                workers=8,
+                chunks=32,
+                chunk_timeout=60,
+            ) as executor:
+                for name in names:
+                    pruned = executor.prune(PRUNING_ALGORITHMS[name]())
+                    assert pruned.pairs == serial[name], name
+        finally:
+            sys.setswitchinterval(interval)
+        assert executor.stats["chunk_timeouts"] == 0
 
 
 class TestBackendResolution:
@@ -177,41 +205,6 @@ class TestBackendResolution:
         executor.close()  # idempotent
 
 
-class TestPhase1Helpers:
-    def test_nearest_neighbor_sets_match_serial(self, example_blocks):
-        from repro.core.pruning.redefined import nearest_neighbor_sets
-
-        weighting = OptimizedEdgeWeighting(example_blocks, "JS")
-        executor = ParallelNodeCentricExecutor(
-            OptimizedEdgeWeighting(example_blocks, "JS"), workers=2
-        )
-        assert executor.nearest_neighbor_sets(2) == nearest_neighbor_sets(
-            weighting, 2
-        )
-
-    def test_neighborhood_thresholds_match_serial(self, example_blocks):
-        from repro.core.pruning.redefined import neighborhood_thresholds
-
-        weighting = OptimizedEdgeWeighting(example_blocks, "JS")
-        executor = ParallelNodeCentricExecutor(
-            OptimizedEdgeWeighting(example_blocks, "JS"), workers=2
-        )
-        parallel = executor.neighborhood_thresholds()
-        serial = neighborhood_thresholds(weighting)
-        assert parallel.keys() == serial.keys()
-        for entity, threshold in serial.items():
-            assert parallel[entity] == pytest.approx(threshold, abs=1e-12)
-
-    def test_map_neighborhoods_matches_serial(self, example_blocks):
-        weighting = OptimizedEdgeWeighting(example_blocks, "JS")
-        executor = ParallelNodeCentricExecutor(
-            OptimizedEdgeWeighting(example_blocks, "JS"), workers=2
-        )
-        assert executor.map_neighborhoods() == dict(
-            weighting.iter_neighborhoods()
-        )
-
-
 class TestConvenience:
     def test_parallel_prune_supported(self, example_blocks):
         algorithm = PRUNING_ALGORITHMS["ReWNP"]()
@@ -236,8 +229,8 @@ class TestConvenience:
 
     def test_parallel_prune_falls_back_for_unknown(self, example_blocks):
         class CustomPruning(PruningAlgorithm):
-            def prune(self, weighting):
-                return PRUNING_ALGORITHMS["WEP"]().prune(weighting)
+            def prune(self, weighting, sink=None):
+                return PRUNING_ALGORITHMS["WEP"]().prune(weighting, sink)
 
         serial = PRUNING_ALGORITHMS["WEP"]().prune(
             OptimizedEdgeWeighting(example_blocks, "JS")
@@ -251,14 +244,14 @@ class TestConvenience:
 
     def test_empty_collection(self):
         blocks = BlockCollection([], 0)
-        executor = ParallelNodeCentricExecutor(
+        executor = ParallelMetaBlockingExecutor(
             OptimizedEdgeWeighting(blocks, "JS"), workers=2
         )
         assert executor.prune(PRUNING_ALGORITHMS["ReWNP"]()).pairs == []
 
     def test_singleton_graph(self):
         blocks = BlockCollection([Block("a", (0, 1))], num_entities=2)
-        executor = ParallelNodeCentricExecutor(
+        executor = ParallelMetaBlockingExecutor(
             OptimizedEdgeWeighting(blocks, "JS"), workers=2, chunks=8
         )
         serial = PRUNING_ALGORITHMS["ReWNP"]().prune(
@@ -271,7 +264,10 @@ class TestPipelineIntegration:
     def test_meta_block_parallel_matches_serial(self, small_dirty_blocks):
         serial = meta_block(small_dirty_blocks, scheme="JS", algorithm="RcWNP")
         parallel = meta_block(
-            small_dirty_blocks, scheme="JS", algorithm="RcWNP", parallel=2
+            small_dirty_blocks,
+            scheme="JS",
+            algorithm="RcWNP",
+            execution=ExecutionConfig(parallel=2),
         )
         assert parallel.comparisons.pairs == serial.comparisons.pairs
 
@@ -283,7 +279,10 @@ class TestPipelineIntegration:
                 small_dirty_blocks, scheme="JS", algorithm=algorithm
             )
             parallel = meta_block(
-                small_dirty_blocks, scheme="JS", algorithm=algorithm, parallel=2
+                small_dirty_blocks,
+                scheme="JS",
+                algorithm=algorithm,
+                execution=ExecutionConfig(parallel=2),
             )
             assert parallel.comparisons.pairs == serial.comparisons.pairs
 
@@ -292,7 +291,10 @@ class TestPipelineIntegration:
         assert serial.effective_workers == 1
         assert serial.parallel_backend == "serial"
         parallel = meta_block(
-            small_dirty_blocks, scheme="JS", algorithm="WEP", parallel=2
+            small_dirty_blocks,
+            scheme="JS",
+            algorithm="WEP",
+            execution=ExecutionConfig(parallel=2),
         )
         assert parallel.effective_workers == 2
         assert parallel.parallel_backend in PARALLEL_BACKENDS
@@ -300,7 +302,10 @@ class TestPipelineIntegration:
     def test_meta_block_auto_selects_threads(self, small_dirty_blocks):
         serial = meta_block(small_dirty_blocks, scheme="JS", algorithm="RcWNP")
         result = meta_block(
-            small_dirty_blocks, scheme="JS", algorithm="RcWNP", parallel=2
+            small_dirty_blocks,
+            scheme="JS",
+            algorithm="RcWNP",
+            execution=ExecutionConfig(parallel=2),
         )
         assert result.parallel_backend == "threads"
         assert result.comparisons.pairs == serial.comparisons.pairs
@@ -311,22 +316,21 @@ class TestPipelineIntegration:
         class CustomPruning(PruningAlgorithm):
             name = "custom"
 
-            def prune(self, weighting):
-                return PRUNING_ALGORITHMS["WEP"]().prune(weighting)
+            def prune(self, weighting, sink=None):
+                return PRUNING_ALGORITHMS["WEP"]().prune(weighting, sink)
 
         with pytest.warns(RuntimeWarning, match="does not support parallel"):
             result = meta_block(
                 small_dirty_blocks,
                 scheme="JS",
                 algorithm=CustomPruning(),
-                parallel=2,
+                execution=ExecutionConfig(parallel=2),
             )
         assert result.effective_workers == 1
         assert result.parallel_backend == "serial"
 
     def test_workflow_round_trips_parallel(self):
         from repro import TokenBlocking
-        from repro.core.execution import ExecutionConfig
         from repro.core.pipeline import MetaBlockingWorkflow
 
         workflow = MetaBlockingWorkflow(
@@ -339,8 +343,8 @@ class TestPipelineIntegration:
         assert config["chunk_size"] == 1024
         assert "parallel_backend" not in config
         restored = MetaBlockingWorkflow.from_config(config)
-        assert restored.parallel == 2
-        assert restored.chunk_size == 1024
+        assert restored.execution.parallel == 2
+        assert restored.execution.chunk_size == 1024
 
     def test_workflow_config_with_parallel_backend_still_loads(self):
         # Configs saved while the pool backend was a setting carry the
@@ -355,5 +359,5 @@ class TestPipelineIntegration:
                 "parallel_backend": "shm-spawn",
             }
         )
-        assert restored.parallel == 2
+        assert restored.execution.parallel == 2
         assert not hasattr(restored.execution, "parallel_backend")

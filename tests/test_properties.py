@@ -16,7 +16,7 @@ from repro.blockprocessing.entity_index import EntityIndex
 from repro.core.block_filtering import BlockFiltering
 from repro.core.edge_weighting import OptimizedEdgeWeighting, OriginalEdgeWeighting
 from repro.core.graph import blocking_graph_stats
-from repro.core.parallel import ParallelNodeCentricExecutor
+from repro.core.parallel import ParallelMetaBlockingExecutor
 from repro.core.pruning import (
     CardinalityEdgePruning,
     CardinalityNodePruning,
@@ -29,6 +29,7 @@ from repro.core.pruning import (
 )
 from repro.core.weights import WEIGHTING_SCHEMES
 from repro.datamodel.blocks import Block, BlockCollection
+from repro.datamodel.sinks import SpillSink
 from repro.utils.topk import TopKHeap
 from repro.utils.unionfind import UnionFind
 
@@ -205,14 +206,16 @@ class TestPruningInvariants:
 class TestParallelExecutorEquivalence:
     """The node-partitioned executor is an exact drop-in for the serial code.
 
-    The chunked code paths (partitioning, per-chunk phase 1/2, deterministic
+    The chunked code paths (partitioning, per-range steps, deterministic
     merge) run in-process here (``workers=1`` with several chunks) so
-    hypothesis can afford many examples; dedicated multi-process tests live
+    hypothesis can afford many examples; dedicated thread-pool tests live
     in ``tests/test_parallel.py``.
     """
 
-    NODE_CENTRIC = (
+    ALGORITHMS = (
+        CardinalityEdgePruning,
         CardinalityNodePruning,
+        WeightedEdgePruning,
         WeightedNodePruning,
         RedefinedCardinalityNodePruning,
         RedefinedWeightedNodePruning,
@@ -226,17 +229,37 @@ class TestParallelExecutorEquivalence:
         chunks=st.integers(min_value=1, max_value=6),
     )
     @settings(max_examples=40, deadline=None)
-    def test_chunked_executor_matches_serial(self, blocks, scheme, chunks):
+    def test_chunked_executor_matches_serial(
+        self, blocks, scheme, chunks, tmp_path_factory
+    ):
+        """Same pairs in the same order: serial and chunked, each in memory
+        (cached retention) and spilled (re-streamed retention; the
+        executor's chunks write shards)."""
         ordered = blocks.sorted_by_cardinality()
-        for algorithm_class in self.NODE_CENTRIC:
+        spill_dir = tmp_path_factory.mktemp("spill")
+        for algorithm_class in self.ALGORITHMS:
             algorithm = algorithm_class()
             serial = algorithm.prune(OptimizedEdgeWeighting(ordered, scheme))
-            executor = ParallelNodeCentricExecutor(
+            spilled = algorithm.prune(
+                OptimizedEdgeWeighting(ordered, scheme),
+                sink=SpillSink(spill_dir=spill_dir, shard_pairs=3),
+            )
+            with ParallelMetaBlockingExecutor(
                 OptimizedEdgeWeighting(ordered, scheme),
                 workers=1,
                 chunks=chunks,
-            )
-            assert executor.prune(algorithm).pairs == serial.pairs
+            ) as executor:
+                chunked = executor.prune(algorithm)
+                chunked_spilled = executor.prune(
+                    algorithm,
+                    sink=SpillSink(spill_dir=spill_dir, shard_pairs=3),
+                )
+            label = algorithm_class.__name__
+            assert list(spilled) == serial.pairs, label
+            assert chunked.pairs == serial.pairs, label
+            assert list(chunked_spilled) == serial.pairs, label
+            spilled.release()
+            chunked_spilled.release()
 
     @given(blocks=any_collections, scheme=scheme_names)
     @settings(max_examples=10, deadline=None)
@@ -248,7 +271,7 @@ class TestParallelExecutorEquivalence:
         ):
             algorithm = algorithm_class()
             serial = algorithm.prune(OptimizedEdgeWeighting(ordered, scheme))
-            executor = ParallelNodeCentricExecutor(
+            executor = ParallelMetaBlockingExecutor(
                 OptimizedEdgeWeighting(ordered, scheme), workers=2, chunks=3
             )
             assert executor.prune(algorithm).pairs == serial.pairs

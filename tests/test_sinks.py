@@ -26,7 +26,6 @@ from repro.datamodel.sinks import (
     InMemorySink,
     SinkClosed,
     SpillSink,
-    ensure_view,
     load_spilled_view,
     stream_pruned,
 )
@@ -354,27 +353,3 @@ class TestBoundedGeneratorSink:
     def test_invalid_max_pending(self):
         with pytest.raises(ValueError, match="max_pending"):
             BoundedGeneratorSink(max_pending=0)
-
-
-# -- ensure_view bridge -------------------------------------------------------
-
-
-class TestEnsureView:
-    def test_wraps_eager_collection(self):
-        eager = ComparisonCollection([(0, 3), (1, 2)], num_entities=4)
-        view = ensure_view(eager)
-        assert isinstance(view, ComparisonView)
-        assert list(view) == [(0, 3), (1, 2)]
-        assert view.num_entities == 4
-
-    def test_passthrough_for_existing_view(self):
-        sink = InMemorySink()
-        sink.append(np.array([0]), np.array([1]))
-        view = sink.finalize(2)
-        assert ensure_view(view) is view
-
-    def test_routes_into_supplied_sink(self, tmp_path):
-        eager = ComparisonCollection([(0, 3), (1, 2)], num_entities=4)
-        view = ensure_view(eager, SpillSink(spill_dir=tmp_path, shard_pairs=1))
-        assert view.spill_manifest is not None
-        assert list(view) == [(0, 3), (1, 2)]
