@@ -207,16 +207,18 @@ TABLE_NOTES = {
         "executor's thread pool at 2, 4 and 8 workers (`4 × workers` "
         "chunks), and the executor's in-process path over the same chunks, "
         "which separates the pool's gain from the chunking's; `phases` is "
-        "the executor's dispatch/weight/prune/merge split. One round per "
-        "leg on a 2-core host: the pool took 0.29-0.34 s, the same chunks "
-        "in-process 0.25 s and the serial run 0.36 s, so on two cores two "
-        "threads are no faster than one. On 8+ usable cores the bench "
+        "the executor's dispatch/weight/prune/merge split, where `prune` "
+        "is the retention over each range's cached emitted edges. Every "
+        "leg builds its Entity Index outside the timer. One round per leg "
+        "on a 2-core host: the pool took 0.23-0.33 s, the same chunks "
+        "in-process 0.21-0.25 s and the serial run 0.26 s, so on two cores "
+        "two threads are no faster than one. On 8+ usable cores the bench "
         "asserts >= 3x for the pool at 8 workers. The fork and "
-        "shared-memory spawn pools were removed after the previous "
+        "shared-memory spawn pools were removed after an earlier "
         "revision's run of this bench on the same host timed ReWNP at 2 "
         "workers at 0.310 s on threads, 0.394 s on fork and 0.936 s on "
-        "shared-memory spawn (0.336 s serial). Every leg retains the same "
-        "623,159 comparisons.",
+        "shared-memory spawn (0.336 s serial, its index build timed). "
+        "Every leg retains the same 623,159 comparisons.",
     ),
     "serve": (
         "Served streaming — daemon round-trip throughput (extra)",
