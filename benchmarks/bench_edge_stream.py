@@ -74,7 +74,7 @@ class CachedGraph:
     """
 
     #: Keep the pruning algorithms on the streaming path: this wrapper exists
-    #: to measure edge-stream consumption, which the fused gather would skip.
+    #: to measure edge-stream consumption, which cached retention would skip.
     node_ordered_edge_stream = False
 
     neighborhood_chunks = EdgeWeighting.neighborhood_chunks

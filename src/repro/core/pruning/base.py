@@ -287,11 +287,6 @@ def _keeping_emitted(
         yield chunk
 
 
-def canonical_pairs(entities: np.ndarray, others: np.ndarray) -> Pairs:
-    """Directed ``entity -> other`` edges as canonical ``(low, high)`` pairs."""
-    return np.minimum(entities, others), np.maximum(entities, others)
-
-
 def cardinality_edge_threshold(blocks: "BlockCollection | EntityIndex") -> int:
     """CEP's global cardinality threshold ``K = floor(sum(|b|) / 2)``.
 
@@ -354,7 +349,6 @@ def mean_edge_weight(weighting: EdgeWeighting) -> float:
 __all__ = [
     "PruningAlgorithm",
     "PruningRun",
-    "canonical_pairs",
     "cardinality_edge_threshold",
     "cardinality_node_threshold",
     "emitted_weight_sums",

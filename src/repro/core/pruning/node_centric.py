@@ -32,7 +32,6 @@ from repro.core.pruning.base import (
     Pairs,
     PruningAlgorithm,
     PruningRun,
-    canonical_pairs,
     cardinality_node_threshold,
 )
 from repro.datamodel.blocks import ComparisonCollection
@@ -45,6 +44,11 @@ def _canonical(entity: int, others: "list[int]") -> "list[Comparison]":
     return [
         (entity, other) if entity < other else (other, entity) for other in others
     ]
+
+
+def _canonical_pairs(entities: np.ndarray, others: np.ndarray) -> Pairs:
+    """Directed ``entity -> other`` edges as canonical ``(low, high)`` pairs."""
+    return np.minimum(entities, others), np.maximum(entities, others)
 
 
 #: Entities per :meth:`~repro.core.edge_weighting.EdgeWeighting.neighborhood_batch`
@@ -118,7 +122,7 @@ class CardinalityNodePruning(PruningAlgorithm):
 
         def top_k(group: NodeGroup) -> Pairs:
             selected, segments = topk_per_segment(group, k)
-            return canonical_pairs(
+            return _canonical_pairs(
                 group.entities[segments], group.neighbors[selected]
             )
 
@@ -139,7 +143,7 @@ def _over_mean(group: NodeGroup) -> Pairs:
     """WNP's step: each node's edges at or above its neighbourhood mean."""
     counts = group.counts
     keep = group.weights >= np.repeat(segment_means(group), counts)
-    return canonical_pairs(
+    return _canonical_pairs(
         np.repeat(group.entities, counts)[keep], group.neighbors[keep]
     )
 

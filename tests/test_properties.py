@@ -227,18 +227,20 @@ class TestParallelExecutorEquivalence:
         blocks=any_collections,
         scheme=scheme_names,
         chunks=st.integers(min_value=1, max_value=6),
+        chunk_size=st.sampled_from([None, 1, 4]),
     )
     @settings(max_examples=40, deadline=None)
     def test_chunked_executor_matches_serial(
-        self, blocks, scheme, chunks, tmp_path_factory
+        self, blocks, scheme, chunks, chunk_size, tmp_path_factory
     ):
         """Same pairs in the same order: serial and chunked, each in memory
         (cached retention) and spilled (re-streamed retention; the
-        executor's chunks write shards)."""
+        executor's chunks write shards), for any edge-batch size."""
         ordered = blocks.sorted_by_cardinality()
         spill_dir = tmp_path_factory.mktemp("spill")
         for algorithm_class in self.ALGORITHMS:
             algorithm = algorithm_class()
+            algorithm.chunk_size = chunk_size
             serial = algorithm.prune(OptimizedEdgeWeighting(ordered, scheme))
             spilled = algorithm.prune(
                 OptimizedEdgeWeighting(ordered, scheme),
