@@ -114,11 +114,11 @@ class TestTaxonomy:
 
     def test_matches_chunk_window(self):
         fault = Fault(op="delay", chunk=2, task="wnp", attempts=2)
-        assert fault.matches_chunk("_chunk_original_wnp", 2, 0)
-        assert fault.matches_chunk("_chunk_original_wnp", 2, 1)
-        assert not fault.matches_chunk("_chunk_original_wnp", 2, 2)
-        assert not fault.matches_chunk("_chunk_original_wnp", 3, 0)
-        assert not fault.matches_chunk("_chunk_phase2", 2, 0)
+        assert fault.matches_chunk("wnp:select", 2, 0)
+        assert fault.matches_chunk("rcwnp:retain", 2, 1)
+        assert not fault.matches_chunk("wnp:select", 2, 2)
+        assert not fault.matches_chunk("wnp:select", 3, 0)
+        assert not fault.matches_chunk("recnp:retain", 2, 0)
 
 
 class TestFaultPlan:
