@@ -3,7 +3,9 @@
 The paper's Related Work notes that supervised meta-blocking [23] is more
 accurate than the unsupervised schemes but needs labelled edges. This
 ablation quantifies that on D1C: an oracle-labelled logistic regression
-(the supervised ceiling) against unsupervised WEP and Reciprocal WNP.
+(the supervised ceiling) against unsupervised WEP and Reciprocal WNP. The
+classifier is a weighting scheme, so the generalized rows (arXiv
+2204.08801) run the other core algorithms on its match probabilities.
 """
 
 from __future__ import annotations
@@ -12,10 +14,14 @@ from benchmarks._recorder import RECORDER
 from repro.core import meta_block
 from repro.evaluation import evaluate
 from repro.supervised import (
+    ClassifierScheme,
     EdgeFeatureExtractor,
     SupervisedMetaBlocking,
     train_from_ground_truth,
 )
+
+#: Core algorithms run on match probabilities beside the three modes.
+GENERALIZED_ALGORITHMS = ("CNP", "WNP", "ReWNP", "RcCNP", "RcWNP")
 
 
 def test_ablation_supervised(benchmark, suite, filtered_blocks):
@@ -25,17 +31,26 @@ def test_ablation_supervised(benchmark, suite, filtered_blocks):
     def run_supervised():
         extractor = EdgeFeatureExtractor(blocks)
         model = train_from_ground_truth(extractor, dataset.ground_truth, seed=1)
-        return {
+        return model, {
             mode: SupervisedMetaBlocking(model, mode=mode).prune(extractor)
             for mode in SupervisedMetaBlocking.MODES
         }
 
-    supervised = benchmark.pedantic(run_supervised, rounds=1, iterations=1)
+    model, supervised = benchmark.pedantic(
+        run_supervised, rounds=1, iterations=1
+    )
 
     results = {
         f"supervised-{mode}": comparisons
         for mode, comparisons in supervised.items()
     }
+    for algorithm in GENERALIZED_ALGORITHMS:
+        results[f"supervised-{algorithm}"] = meta_block(
+            blocks,
+            scheme=ClassifierScheme(model),
+            algorithm=algorithm,
+            block_filtering_ratio=None,
+        ).comparisons
     results["unsupervised-WEP"] = meta_block(
         blocks, scheme="JS", algorithm="WEP", block_filtering_ratio=None
     ).comparisons

@@ -274,6 +274,9 @@ TABLE_NOTES = {
 
 
 def _format(value) -> str:
+    if isinstance(value, list):
+        # A [low, high] spread, e.g. a leg's q1-q3 seconds.
+        return "–".join(_format(item) for item in value)
     if isinstance(value, float):
         if value == 0:
             return "0"

@@ -42,7 +42,6 @@ from repro.core.edge_weighting import (
 )
 from repro.core.graph import MaterializedBlockingGraph, blocking_graph_stats
 from repro.core.parallel import (
-    PARALLEL_ALGORITHMS,
     ParallelMetaBlockingExecutor,
     parallel_prune,
     supports_parallel,
@@ -120,7 +119,6 @@ __all__ = [
     "MetaBlockingWorkflow",
     "OptimizedEdgeWeighting",
     "OriginalEdgeWeighting",
-    "PARALLEL_ALGORITHMS",
     "ParallelMetaBlockingExecutor",
     "PruningAlgorithm",
     "parallel_prune",

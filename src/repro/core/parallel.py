@@ -120,11 +120,6 @@ def _package(
     return ("pairs", sources, targets)
 
 
-#: Pruning acronyms the executor can partition across workers.
-PARALLEL_ALGORITHMS = frozenset(
-    {"CEP", "WEP", "CNP", "WNP", "ReCNP", "ReWNP", "RcCNP", "RcWNP"}
-)
-
 #: Execution backends the executor resolves to (from the worker count).
 PARALLEL_BACKENDS = ("threads", "in-process")
 
@@ -696,8 +691,8 @@ class ParallelMetaBlockingExecutor:
         """
         if not supports_parallel(algorithm):
             raise ValueError(
-                f"{type(algorithm).__name__} is not node-partitionable; "
-                f"parallel execution supports {sorted(PARALLEL_ALGORITHMS)}"
+                f"{type(algorithm).__name__} is not node-partitionable: "
+                "parallel execution runs algorithms written as chunk steps"
             )
         self._algorithm_name = type(algorithm).__name__
         self.timings = _new_timings()

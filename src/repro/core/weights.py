@@ -68,7 +68,9 @@ class WeightingScheme(ABC):
     uses_total_blocks: bool = False
     #: Whether the scheme can serve streaming/incremental queries. Degree-
     #: based schemes need a full extra pass over the graph per epoch, which
-    #: defeats per-upsert querying; they are batch-only.
+    #: defeats per-upsert querying, and the resolver's write-ahead log
+    #: records a scheme by name only, so a scheme carrying state (a trained
+    #: model) could not be restored; both are batch-only.
     streamable: bool = True
 
     @abstractmethod

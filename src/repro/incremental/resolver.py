@@ -32,7 +32,8 @@ layer over the exact batch machinery, running on a mutable
 Weights use the paper's schemes over the *current* state, so early weights
 drift as the collection grows — the standard incremental-ER trade-off. EJS
 is rejected: node degrees cannot be maintained under O(degree) updates and
-its graph-level statistics are exactly what a stream lacks.
+its graph-level statistics are exactly what a stream lacks; so is the
+supervised classifier scheme, whose model the write-ahead log cannot hold.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ from repro.core.edge_stream import (
     topk_per_segment,
 )
 from repro.core.execution import ExecutionConfig
-from repro.core.parallel import resolve_workers
+from repro.core.parallel import parallel_prune, resolve_workers
 from repro.core.pruning.node_centric import (
     NODE_CRITERIA_BATCH,
+    WeightedNodePruning,
     node_criteria,
 )
 from repro.core.pruning.base import PruningRun
@@ -216,10 +218,12 @@ class IncrementalMetaBlocking:
         self.keys_for = keys_for
         self.scheme = get_scheme(scheme)
         if not self.scheme.streamable:
-            raise ValueError(
-                f"{self.scheme.name} requires node degrees, which are not "
-                "maintainable incrementally; use ARCS, CBS, ECBS or JS"
+            why = (
+                "requires node degrees, which are not maintainable incrementally"
+                if self.scheme.uses_degrees
+                else "cannot be recorded in the write-ahead log"
             )
+            raise ValueError(f"{self.scheme.name} {why}; use ARCS, CBS, ECBS or JS")
         if execution is not None:
             if compact_ratio is None:
                 compact_ratio = execution.compact_ratio
@@ -638,12 +642,14 @@ class IncrementalMetaBlocking:
     def candidate_pairs(self, algorithm: str = "CNP") -> ComparisonView:
         """Node-centric pruning over the *whole* current collection.
 
-        Re-derives per-node criteria only for stale nodes (no entry yet,
-        or a block stamped since the entry), then runs the requested batch
-        algorithm's retention with those criteria — for ``CNP`` straight
-        from the cache, for the two-phase families (``ReCNP``/``ReWNP``
-        and their reciprocal variants) by streaming phase 2 over the
-        distinct-edge stream. The result matches the batch algorithm run on
+        ``WNP`` runs the batch algorithm on the live weighting, with the
+        workers ``ExecutionConfig.parallel`` asks for. The others re-derive
+        per-node criteria only for stale nodes (no entry yet, or a block
+        stamped since the entry), then run the requested batch algorithm's
+        retention with those criteria — for ``CNP`` straight from the
+        cache, for the two-phase families (``ReCNP``/``ReWNP`` and their
+        reciprocal variants) by streaming phase 2 over the distinct-edge
+        stream. The result matches the batch algorithm run on
         :meth:`to_block_collection` with the same explicit ``k`` (exactly
         for the integer-statistic schemes CBS/JS; ARCS sums can differ in
         the last float bit when block orders differ).
@@ -654,14 +660,19 @@ class IncrementalMetaBlocking:
                 f"unknown export algorithm {algorithm!r}; known: {known}"
             )
         self.flush()
-        self._refresh_criteria()
         weighting = self._weighting
+        if algorithm == "WNP":
+            parallel = None if self.execution is None else self.execution.parallel
+            return parallel_prune(
+                weighting,
+                WeightedNodePruning(),
+                workers=1 if parallel is None else parallel,
+            )
+        self._refresh_criteria()
         sink = InMemorySink()
         try:
             if algorithm == "CNP":
                 self._export_cnp(sink)
-            elif algorithm == "WNP":
-                self._export_wnp(sink)
             elif algorithm in ("ReCNP", "RcCNP"):
                 PruningRun(weighting, sink).retain(
                     key_retention(
@@ -1461,62 +1472,6 @@ class IncrementalMetaBlocking:
                 np.minimum(entities, neighbors),
                 np.maximum(entities, neighbors),
             )
-
-    def _export_wnp(self, sink: InMemorySink) -> None:
-        """WNP with cached means as the per-node thresholds.
-
-        Neighborhoods come from the fused multi-node kernel, fanned out
-        across ``ExecutionConfig`` threads when configured; groups are
-        consumed in node order either way, so the pair stream matches the
-        serial export element for element.
-        """
-        thresholds = self._criteria_thresholds()
-        for group in self._node_groups(self.index.placed_entities()):
-            counts = group.counts
-            keep = group.weights >= np.repeat(
-                thresholds[group.entities], counts
-            )
-            entities = np.repeat(group.entities, counts)[keep]
-            neighbors = group.neighbors[keep]
-            sink.append(
-                np.minimum(entities, neighbors),
-                np.maximum(entities, neighbors),
-            )
-
-    def _node_groups(self, entities: np.ndarray):
-        """Yield the entities' neighborhoods as NodeGroups, in node order.
-
-        One fused ``neighborhood_batch`` call per :data:`NODE_CRITERIA_BATCH`
-        nodes; with a threads-capable :class:`ExecutionConfig` the chunks
-        are computed concurrently on weighting clones over the shared delta
-        index (results are still yielded in submission order).
-        """
-        entities = np.asarray(entities, dtype=np.int64)
-        chunks = [
-            entities[start : start + NODE_CRITERIA_BATCH]
-            for start in range(0, len(entities), NODE_CRITERIA_BATCH)
-        ]
-        workers = self._kernel_workers(len(entities))
-        if workers <= 1:
-            for chunk in chunks:
-                group = self._weighting.neighborhood_batch(chunk).node_group()
-                if group.entities.size:
-                    yield group
-            return
-        self._weighting.prime()
-        shared_index = self.index
-        scheme = self.scheme
-
-        def run(chunk: np.ndarray) -> NodeGroup:
-            clone = type(self._weighting)._from_shared_index(
-                shared_index, scheme
-            )
-            return clone.neighborhood_batch(chunk).node_group()
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for group in pool.map(run, chunks):
-                if group.entities.size:
-                    yield group
 
     def _criteria_keys(self) -> np.ndarray:
         """Phase-1 CNP keys (sorted directed pairs) from the cache."""

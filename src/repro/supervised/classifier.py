@@ -89,12 +89,18 @@ class LogisticRegressionClassifier:
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        """P(edge is a match) for each row of ``X``."""
+        """P(edge is a match) for each row of ``X``, whatever rows it is
+        batched with."""
         if self.weights is None or self._mean is None or self._scale is None:
             raise RuntimeError("classifier is not fitted")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         Xs = (X - self._mean) / self._scale
-        return _sigmoid(Xs @ self.weights + self.intercept)
+        rows = len(Xs)
+        if rows == 1:
+            # numpy multiplies one row with a kernel that rounds unlike the
+            # matrix-vector kernel of larger batches; a doubled row takes it.
+            Xs = np.vstack((Xs, Xs))
+        return _sigmoid(Xs @ self.weights + self.intercept)[:rows]
 
     def predict(self, X, threshold: float = 0.5) -> np.ndarray:
         """Binary decisions at the given probability threshold."""

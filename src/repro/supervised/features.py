@@ -16,81 +16,49 @@ derivable from the co-occurrence statistics one ScanCount pass produces:
 ``RS``     (index 4)
     Relative support: ``|B_ij| / min(|B_i|, |B_j|)`` — how much of the
     rarer profile's evidence the pair covers.
+
+Those statistics are what every weighting backend hands to
+:meth:`~repro.core.weights.WeightingScheme.weight_array`, so one function,
+:func:`edge_features`, serves the classifier scheme and the labelled pairs.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterator
-
 import numpy as np
 
 from repro.blockprocessing.entity_index import EntityIndex
+from repro.core.weights import _log10_ratios
 from repro.datamodel.blocks import BlockCollection
 
 FEATURE_NAMES = ("CFIBF", "RACCB", "JS", "ECBS", "RS")
-NUM_FEATURES = len(FEATURE_NAMES)
 
-Comparison = tuple[int, int]
+
+def edge_features(
+    common_blocks, arcs_sum, blocks_i, blocks_j, total_blocks: int
+) -> np.ndarray:
+    """One feature row per directed edge ``i -> j``; zero statistics give
+    zero features. ECBS is ``(|B_ij| · log_i) · log_j``, so an edge's two
+    directions may differ in the last bit."""
+    common = np.asarray(common_blocks, dtype=np.float64)
+    blocks_i = np.asarray(blocks_i, dtype=np.int64)
+    blocks_j = np.asarray(blocks_j, dtype=np.int64)
+    denominator = blocks_i + blocks_j - common
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jaccard = np.where(denominator != 0, common / denominator, 0.0)
+        support = np.where(common != 0, common / np.minimum(blocks_i, blocks_j), 0.0)
+    # An empty block list has a 0.0 log placeholder, hence a 0.0 ECBS.
+    log_i, log_j = _log10_ratios(total_blocks, blocks_i, blocks_j)
+    arcs = np.asarray(arcs_sum, dtype=np.float64)
+    return np.column_stack((common, arcs, jaccard, common * log_i * log_j, support))
 
 
 class EdgeFeatureExtractor:
-    """Compute the feature vector of any blocking-graph edge.
-
-    One ScanCount pass per node (exactly Algorithm 3's loop) yields the
-    shared-block counts and ARCS sums of all its neighbours; the remaining
-    features are arithmetic on the block-list sizes.
-    """
+    """The Entity Index a supervised model is trained and applied on."""
 
     def __init__(self, blocks: BlockCollection) -> None:
         self.blocks = blocks
         self.index = EntityIndex(blocks)
-        self.num_entities = blocks.num_entities
         self.total_blocks = max(1, len(blocks))
-        self._flags = [-1] * self.num_entities
-        self._common = [0] * self.num_entities
-        self._arcs = [0.0] * self.num_entities
-        self._stamp = 0
-
-    def _scan(self, entity: int) -> list[int]:
-        flags, common, arcs = self._flags, self._common, self._arcs
-        self._stamp += 1
-        stamp = self._stamp
-        index = self.index
-        inverse_cardinalities = index.inverse_cardinalities
-        neighbors: list[int] = []
-        for position in index.block_list(entity):
-            inverse = inverse_cardinalities[position]
-            for other in index.cooccurring(entity, position):
-                if other == entity:
-                    continue
-                if flags[other] != stamp:
-                    flags[other] = stamp
-                    common[other] = 0
-                    arcs[other] = 0.0
-                    neighbors.append(other)
-                common[other] += 1
-                arcs[other] += inverse
-        return neighbors
-
-    def _vector(
-        self, left: int, right: int, common: int, arcs_sum: float
-    ) -> np.ndarray:
-        blocks_left = len(self.index.block_list(left))
-        blocks_right = len(self.index.block_list(right))
-        denominator = blocks_left + blocks_right - common
-        jaccard = common / denominator if denominator else 0.0
-        ecbs = (
-            common
-            * math.log10(self.total_blocks / blocks_left)
-            * math.log10(self.total_blocks / blocks_right)
-            if blocks_left and blocks_right
-            else 0.0
-        )
-        support = common / min(blocks_left, blocks_right) if common else 0.0
-        return np.array(
-            [float(common), arcs_sum, jaccard, ecbs, support], dtype=np.float64
-        )
 
     def features_for(self, left: int, right: int) -> np.ndarray:
         """Feature vector of one (possibly non-)edge."""
@@ -99,32 +67,10 @@ class EdgeFeatureExtractor:
             self.index.inverse_cardinalities[position]
             for position in common_blocks
         )
-        return self._vector(left, right, len(common_blocks), arcs_sum)
-
-    def iter_edge_features(
-        self,
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Every distinct edge with its feature vector (canonical order)."""
-        bilateral = self.index.is_bilateral
-        common, arcs = self._common, self._arcs
-        for entity in range(self.num_entities):
-            if not self.index.block_list(entity):
-                continue
-            if bilateral and self.index.in_second_collection(entity):
-                continue
-            for other in self._scan(entity):
-                if not bilateral and other <= entity:
-                    continue
-                vector = self._vector(entity, other, common[other], arcs[other])
-                if entity < other:
-                    yield entity, other, vector
-                else:
-                    yield other, entity, vector
-
-    def iter_neighborhood_features(
-        self, entity: int
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Feature vectors of all edges incident to one node."""
-        common, arcs = self._common, self._arcs
-        for other in self._scan(entity):
-            yield other, self._vector(entity, other, common[other], arcs[other])
+        return edge_features(
+            [len(common_blocks)],
+            [arcs_sum],
+            [self.index.num_blocks_of(left)],
+            [self.index.num_blocks_of(right)],
+            self.total_blocks,
+        )[0]

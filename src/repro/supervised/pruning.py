@@ -1,16 +1,18 @@
-"""Supervised pruning: classify edges, retain the likely matches.
+"""Supervised pruning: match probabilities as edge weights.
 
-Mirrors the unsupervised pruning families with classifier probabilities in
-place of weights:
+:class:`ClassifierScheme` weighs every edge by a trained classifier's match
+probability, so every core pruning algorithm runs on probabilities —
+serially, on the parallel executor's threads or spilled — as Generalized
+Supervised Meta-blocking (arXiv 2204.08801) runs probabilistic WEP, WNP,
+CEP, CNP, RCNP and RWNP. :class:`SupervisedMetaBlocking` names three of
+them:
 
-* ``mode="wep"`` — edge-centric, weight criterion: retain edges whose match
-  probability reaches ``probability_threshold`` (composite decision
-  boundary instead of WEP's mean weight);
-* ``mode="cep"`` — edge-centric, cardinality criterion: the top-K most
-  probable edges, ``K = floor(sum(|b|)/2)`` as in CEP;
-* ``mode="cnp"`` — node-centric, cardinality criterion: the top-k most
-  probable edges per node neighbourhood, retained at most once
-  (the redefined, redundancy-free formulation).
+* ``mode="wep"`` — WEP with ``probability_threshold`` as its threshold
+  (the decision boundary instead of the mean weight);
+* ``mode="cep"`` — CEP: the top-K most probable edges,
+  ``K = floor(sum(|b|)/2)``;
+* ``mode="cnp"`` — redefined CNP: the top-k most probable edges per node
+  neighbourhood, retained at most once.
 """
 
 from __future__ import annotations
@@ -20,18 +22,70 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.pruning.base import (
-    cardinality_edge_threshold,
-    cardinality_node_threshold,
+from repro.core.edge_weighting import OptimizedEdgeWeighting
+from repro.core.pruning import (
+    CardinalityEdgePruning,
+    PruningAlgorithm,
+    RedefinedCardinalityNodePruning,
+    WeightedEdgePruning,
 )
+from repro.core.weights import WeightingScheme
 from repro.datamodel.blocks import ComparisonCollection
 from repro.datamodel.groundtruth import DuplicateSet
 from repro.supervised.classifier import LogisticRegressionClassifier
-from repro.supervised.features import EdgeFeatureExtractor
-from repro.utils.topk import TopKHeap
+from repro.supervised.features import EdgeFeatureExtractor, edge_features
 
-Comparison = tuple[int, int]
 LabelledEdge = tuple[int, int, bool]
+
+
+class ClassifierScheme(WeightingScheme):
+    """The weight of an edge is ``model.predict_proba`` of its features.
+
+    The features are computed from the statistics every backend hands the
+    scheme; parallel runs share the model, which they only read. Batch-only:
+    the streaming resolver's write-ahead log could not record the model.
+    """
+
+    name = "classifier"
+    uses_arcs_sum = True
+    uses_total_blocks = True
+    streamable = False
+
+    def __init__(self, model: LogisticRegressionClassifier) -> None:
+        if not model.is_fitted:
+            raise ValueError("model must be fitted before weighting")
+        self.model = model
+
+    def weight_array(
+        self,
+        common_blocks,
+        arcs_sum,
+        blocks_i,
+        blocks_j,
+        degree_i,
+        degree_j,
+        total_blocks: int,
+        total_edges: int,
+    ):
+        return self.model.predict_proba(
+            edge_features(common_blocks, arcs_sum, blocks_i, blocks_j, total_blocks)
+        )
+
+    def weight(
+        self,
+        common_blocks: int,
+        arcs_sum: float,
+        blocks_i: int,
+        blocks_j: int,
+        degree_i: int,
+        degree_j: int,
+        total_blocks: int,
+        total_edges: int,
+    ) -> float:
+        features = edge_features(
+            [common_blocks], [arcs_sum], [blocks_i], [blocks_j], total_blocks
+        )
+        return float(self.model.predict_proba(features)[0])
 
 
 def training_edges(
@@ -61,9 +115,10 @@ def train_from_ground_truth(
     """Benchmark helper: label edges with the gold standard and train.
 
     Positives are the gold pairs; negatives are a random sample of the
-    graph's non-matching edges (default: as many as the positives). In a
-    real deployment the labels come from manual review — this helper
-    exists so benchmarks and examples can demonstrate the ceiling.
+    graph's non-matching edges (default: as many as the positives), in the
+    optimized backend's edge-stream order. In a real deployment the labels
+    come from manual review — this helper exists so benchmarks and examples
+    can demonstrate the ceiling.
     """
     positives = [(left, right, True) for left, right in ground_truth]
     if not positives:
@@ -72,16 +127,19 @@ def train_from_ground_truth(
     rng = random.Random(seed)
     reservoir: list[LabelledEdge] = []
     seen = 0
-    for left, right, _ in extractor.iter_edge_features():
-        if ground_truth.is_match(left, right):
-            continue
-        seen += 1
-        if len(reservoir) < wanted:
-            reservoir.append((left, right, False))
-        else:
-            slot = rng.randrange(seen)
-            if slot < wanted:
-                reservoir[slot] = (left, right, False)
+    # Only the pairs are read, so the cheapest scheme weighs them.
+    graph = OptimizedEdgeWeighting._from_shared_index(extractor.index, "CBS")
+    for batch in graph.iter_edge_batches():
+        for left, right in zip(batch.sources.tolist(), batch.targets.tolist()):
+            if ground_truth.is_match(left, right):
+                continue
+            seen += 1
+            if len(reservoir) < wanted:
+                reservoir.append((left, right, False))
+            else:
+                slot = rng.randrange(seen)
+                if slot < wanted:
+                    reservoir[slot] = (left, right, False)
     if not reservoir:
         raise ValueError("the blocking graph has no negative edges to sample")
     X, y = training_edges(extractor, positives + reservoir)
@@ -112,62 +170,16 @@ class SupervisedMetaBlocking:
         self.mode = mode
         self.probability_threshold = probability_threshold
 
-    def prune(self, extractor: EdgeFeatureExtractor) -> ComparisonCollection:
+    def algorithm(self) -> PruningAlgorithm:
+        """The core algorithm this mode runs on :class:`ClassifierScheme`."""
         if self.mode == "wep":
-            return self._prune_wep(extractor)
+            return WeightedEdgePruning(threshold=self.probability_threshold)
         if self.mode == "cep":
-            return self._prune_cep(extractor)
-        return self._prune_cnp(extractor)
+            return CardinalityEdgePruning()
+        return RedefinedCardinalityNodePruning()
 
-    def _scored_edges(self, extractor: EdgeFeatureExtractor):
-        batch: list[Comparison] = []
-        vectors: list[np.ndarray] = []
-        for left, right, vector in extractor.iter_edge_features():
-            batch.append((left, right))
-            vectors.append(vector)
-            if len(batch) == 4096:
-                yield from zip(batch, self.model.predict_proba(np.vstack(vectors)))
-                batch, vectors = [], []
-        if batch:
-            yield from zip(batch, self.model.predict_proba(np.vstack(vectors)))
-
-    def _prune_wep(self, extractor: EdgeFeatureExtractor) -> ComparisonCollection:
-        retained = [
-            pair
-            for pair, probability in self._scored_edges(extractor)
-            if probability >= self.probability_threshold
-        ]
-        return ComparisonCollection(retained, extractor.num_entities)
-
-    def _prune_cep(self, extractor: EdgeFeatureExtractor) -> ComparisonCollection:
-        k = cardinality_edge_threshold(extractor.blocks)
-        heap: TopKHeap[Comparison] = TopKHeap(k)
-        for pair, probability in self._scored_edges(extractor):
-            heap.push(float(probability), pair)
-        return ComparisonCollection(sorted(heap.items()), extractor.num_entities)
-
-    def _prune_cnp(self, extractor: EdgeFeatureExtractor) -> ComparisonCollection:
-        k = cardinality_node_threshold(extractor.blocks)
-        nearest: dict[int, set[int]] = {}
-        for entity in range(extractor.num_entities):
-            if not extractor.index.block_list(entity):
-                continue
-            heap: TopKHeap[int] = TopKHeap(k)
-            others = []
-            vectors = []
-            for other, vector in extractor.iter_neighborhood_features(entity):
-                others.append(other)
-                vectors.append(vector)
-            if not others:
-                continue
-            probabilities = self.model.predict_proba(np.vstack(vectors))
-            for other, probability in zip(others, probabilities):
-                heap.push(float(probability), other)
-            nearest[entity] = heap.items()
-        empty: set[int] = set()
-        retained = [
-            (left, right)
-            for left, right, _ in extractor.iter_edge_features()
-            if right in nearest.get(left, empty) or left in nearest.get(right, empty)
-        ]
-        return ComparisonCollection(retained, extractor.num_entities)
+    def prune(self, extractor: EdgeFeatureExtractor) -> ComparisonCollection:
+        weighting = OptimizedEdgeWeighting._from_shared_index(
+            extractor.index, ClassifierScheme(self.model)
+        )
+        return self.algorithm().prune(weighting)

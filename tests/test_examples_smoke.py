@@ -13,7 +13,11 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 
-FAST_EXAMPLES = ["quickstart.py", "custom_data.py"]
+FAST_EXAMPLES = [
+    "quickstart.py",
+    "custom_data.py",
+    "supervised_metablocking.py",
+]
 
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)

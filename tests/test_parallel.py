@@ -12,7 +12,6 @@ from repro.core.edge_weighting import (
     OriginalEdgeWeighting,
 )
 from repro.core.parallel import (
-    PARALLEL_ALGORITHMS,
     PARALLEL_BACKENDS,
     ParallelMetaBlockingExecutor,
     parallel_prune,
@@ -26,7 +25,7 @@ from repro.core.pruning import PRUNING_ALGORITHMS, PruningAlgorithm
 from repro.core.vectorized import VectorizedEdgeWeighting
 from repro.datamodel.blocks import Block, BlockCollection
 
-ALL_ALGORITHMS = sorted(PARALLEL_ALGORITHMS)
+ALL_ALGORITHMS = sorted(PRUNING_ALGORITHMS)
 
 
 class TestPartitioning:
@@ -55,9 +54,6 @@ class TestSupports:
     def test_all_registry_algorithms_supported(self):
         for name in ALL_ALGORITHMS:
             assert supports_parallel(PRUNING_ALGORITHMS[name]())
-
-    def test_registry_matches_parallel_acronyms(self):
-        assert PARALLEL_ALGORITHMS == set(PRUNING_ALGORITHMS)
 
     def test_prune_rejects_unknown_algorithm(self, example_blocks):
         class CustomPruning(PruningAlgorithm):

@@ -2,7 +2,8 @@
 
 Covers the full matrix: every pruning algorithm, serial and both parallel
 executor backends (thread pool, in-process), eager versus spilled output —
-the retained comparison sequence must be identical everywhere. Plus the
+the retained comparison sequence must be identical everywhere, on the
+supervised classifier scheme too. Plus the
 failure path: a crash mid-spill leaves no artifacts behind.
 """
 
@@ -21,14 +22,19 @@ from repro.core.parallel import PARALLEL_BACKENDS, ParallelMetaBlockingExecutor
 from repro.core.pipeline import meta_block
 from repro.core.pruning import PRUNING_ALGORITHMS
 from repro.datamodel.sinks import ComparisonView, SpillSink, load_spilled_view
+from repro.supervised import (
+    ClassifierScheme,
+    EdgeFeatureExtractor,
+    train_from_ground_truth,
+)
 
 ALL_ALGORITHMS = sorted(PRUNING_ALGORITHMS)
 
 
-def run(blocks, algorithm, execution=None, **kwargs):
+def run(blocks, algorithm, execution=None, scheme="ECBS", **kwargs):
     return meta_block(
         blocks,
-        scheme="ECBS",
+        scheme=scheme,
         algorithm=algorithm,
         block_filtering_ratio=0.8,
         execution=execution,
@@ -108,6 +114,31 @@ class TestParallelSpill:
                 )
         assert comparisons.spill_manifest is not None
         assert list(comparisons) == list(eager.comparisons)
+
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    def test_classifier_scheme_matches_serial(
+        self, small_clean_clean, small_clean_blocks, tmp_path, algorithm
+    ):
+        # Match probabilities need no pruning code of their own: every
+        # algorithm runs them on two threads and spilled, in serial order.
+        filtered = BlockFiltering(0.8).process(small_clean_blocks)
+        scheme = ClassifierScheme(
+            train_from_ground_truth(
+                EdgeFeatureExtractor(filtered), small_clean_clean.ground_truth
+            )
+        )
+        eager = run(small_clean_blocks, algorithm, scheme=scheme)
+        spilled = run(
+            small_clean_blocks,
+            algorithm,
+            execution=ExecutionConfig(
+                parallel=2, spill_dir=tmp_path, memory_budget=1 << 14
+            ),
+            scheme=scheme,
+        )
+        assert spilled.parallel_backend == "threads"
+        assert spilled.spill_manifest is not None
+        assert list(spilled.comparisons) == list(eager.comparisons)
 
     def test_workers_write_shards_directly(self, small_clean_blocks, tmp_path):
         # The owner never re-buffers worker output when spilling: chunk

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.blocking import TokenBlocking
+from repro.core.edge_weighting import (
+    OptimizedEdgeWeighting,
+    OriginalEdgeWeighting,
+)
 from repro.evaluation import evaluate
+from repro.incremental import IncrementalMetaBlocking
 from repro.supervised import (
     FEATURE_NAMES,
+    ClassifierScheme,
     EdgeFeatureExtractor,
     LogisticRegressionClassifier,
     SupervisedMetaBlocking,
@@ -36,22 +43,6 @@ class TestEdgeFeatureExtractor:
         assert vector[0] == 0.0
         assert vector[2] == 0.0
 
-    def test_edge_iteration_matches_graph(self, example_blocks):
-        extractor = EdgeFeatureExtractor(example_blocks)
-        edges = {(l, r) for l, r, _ in extractor.iter_edge_features()}
-        assert edges == example_blocks.distinct_comparisons()
-
-    def test_neighborhood_features(self, example_blocks):
-        extractor = EdgeFeatureExtractor(example_blocks)
-        neighbors = dict(extractor.iter_neighborhood_features(2))
-        assert set(neighbors) == {0, 1, 3, 4, 5}
-
-    def test_iteration_is_repeatable(self, example_blocks):
-        extractor = EdgeFeatureExtractor(example_blocks)
-        first = [(l, r) for l, r, _ in extractor.iter_edge_features()]
-        second = [(l, r) for l, r, _ in extractor.iter_edge_features()]
-        assert first == second
-
 
 class TestLogisticRegression:
     def _separable_data(self):
@@ -67,6 +58,14 @@ class TestLogisticRegression:
         model = LogisticRegressionClassifier().fit(X, y)
         accuracy = (model.predict(X) == y).mean()
         assert accuracy > 0.97
+
+    def test_row_probability_independent_of_batch(self):
+        X, y = self._separable_data()
+        model = LogisticRegressionClassifier().fit(X, y)
+        batched = model.predict_proba(X)
+        single = np.concatenate([model.predict_proba(row) for row in X])
+        assert np.array_equal(single, batched)
+        assert np.array_equal(model.predict_proba(X[3:5]), batched[3:5])
 
     def test_probabilities_in_range(self):
         X, y = self._separable_data()
@@ -156,6 +155,63 @@ class TestSupervisedMetaBlocking:
         )
         pruned = SupervisedMetaBlocking(model, mode="cnp").prune(extractor)
         assert pruned.cardinality == len(pruned.distinct_comparisons())
+
+
+class TestClassifierScheme:
+    """Match probabilities as a weighting scheme of the core backends."""
+
+    @pytest.fixture(params=["example", "small_dirty"])
+    def trained(self, request, example_blocks, small_dirty, small_dirty_blocks):
+        if request.param == "example":
+            return example_blocks, _trained_on_example(example_blocks)
+        extractor = EdgeFeatureExtractor(small_dirty_blocks)
+        model = train_from_ground_truth(
+            extractor, small_dirty.ground_truth, seed=2
+        )
+        return small_dirty_blocks, model
+
+    def test_weights_are_feature_probabilities(self, trained):
+        """Every directed edge ``owner -> neighbour`` weighs exactly what
+        the model predicts for its feature vector, on both backends."""
+        blocks, model = trained
+        extractor = EdgeFeatureExtractor(blocks)
+        weighting = OptimizedEdgeWeighting(blocks, ClassifierScheme(model))
+        batch = weighting.neighborhood_batch(weighting.nodes())
+        owners = np.repeat(batch.entities, np.diff(batch.offsets))
+        assert batch.neighbors.size
+        expected = np.concatenate(
+            [
+                model.predict_proba(extractor.features_for(owner, other))
+                for owner, other in zip(owners.tolist(), batch.neighbors.tolist())
+            ]
+        )
+        assert np.array_equal(batch.weights, expected)
+        original = OriginalEdgeWeighting(blocks, ClassifierScheme(model))
+        for owner in weighting.nodes():
+            assert dict(original.neighborhood(owner)) == dict(
+                weighting.neighborhood(owner)
+            )
+
+    @pytest.mark.parametrize("mode", SupervisedMetaBlocking.MODES)
+    def test_modes_are_core_algorithms(self, trained, mode):
+        blocks, model = trained
+        supervised = SupervisedMetaBlocking(model, mode=mode)
+        pruned = supervised.prune(EdgeFeatureExtractor(blocks))
+        reference = supervised.algorithm().prune_per_edge(
+            OptimizedEdgeWeighting(blocks, ClassifierScheme(model))
+        )
+        assert list(pruned.pairs) == list(reference.pairs)
+
+    def test_resolver_rejects_the_scheme(self, example_blocks):
+        scheme = ClassifierScheme(_trained_on_example(example_blocks))
+        assert not scheme.streamable
+        with pytest.raises(ValueError, match="classifier") as error:
+            IncrementalMetaBlocking(TokenBlocking().keys_for, scheme=scheme)
+        assert "degrees" not in str(error.value)
+
+    def test_unfitted_model_rejected(self):
+        with pytest.raises(ValueError, match="fitted"):
+            ClassifierScheme(LogisticRegressionClassifier())
 
 
 def _trained_on_example(blocks):
