@@ -20,9 +20,6 @@ from repro.supervised import (
     train_from_ground_truth,
 )
 
-#: Core algorithms run on match probabilities beside the three modes.
-GENERALIZED_ALGORITHMS = ("CNP", "WNP", "ReWNP", "RcCNP", "RcWNP")
-
 
 def test_ablation_supervised(benchmark, suite, filtered_blocks):
     dataset = suite["D1C"]
@@ -44,7 +41,8 @@ def test_ablation_supervised(benchmark, suite, filtered_blocks):
         f"supervised-{mode}": comparisons
         for mode, comparisons in supervised.items()
     }
-    for algorithm in GENERALIZED_ALGORITHMS:
+    # The other core algorithms on the same match probabilities.
+    for algorithm in ("CNP", "WNP", "ReWNP", "RcCNP", "RcWNP"):
         results[f"supervised-{algorithm}"] = meta_block(
             blocks,
             scheme=ClassifierScheme(model),
