@@ -168,7 +168,19 @@ TABLE_NOTES = {
     "ablation_supervised": (
         "Ablation — supervised meta-blocking (extra)",
         "Oracle-labelled logistic regression over per-edge features vs "
-        "unsupervised pruning (the paper's Related Work, reference [23]).",
+        "unsupervised pruning (the paper's Related Work, reference [23]), "
+        "on D1C with JS for the unsupervised rows. The classifier is a "
+        "weighting scheme (`ClassifierScheme`): the lower-case rows are "
+        "the PVLDB 2014 modes (`wep` = WEP at probability 0.5, `cep` = "
+        "CEP, `cnp` = redefined CNP), and the generalized rows run CNP, "
+        "WNP, ReWNP, RcCNP and RcWNP on the same match probabilities with "
+        "no supervised pruning code, as Generalized Supervised "
+        "Meta-blocking (arXiv 2204.08801) does. The three mode rows and "
+        "unsupervised WEP equal the table recorded before the scheme "
+        "existed. Unsupervised RcWNP reads 4,888 comparisons / PQ 0.09288 "
+        "where that table read 4,886 / 0.09292: it was recorded before the "
+        "WNP neighbourhood mean was clamped to the neighbourhood's largest "
+        "weight.",
     ),
     "ablation_progressive": (
         "Ablation — progressive (pay-as-you-go) ordering (extra)",
@@ -209,11 +221,16 @@ TABLE_NOTES = {
         "which separates the pool's gain from the chunking's; `phases` is "
         "the executor's dispatch/weight/prune/merge split, where `prune` "
         "is the retention over each range's cached emitted edges. Every "
-        "leg builds its Entity Index outside the timer. One round per leg "
-        "on a 2-core host: the pool took 0.23-0.33 s, the same chunks "
-        "in-process 0.21-0.25 s and the serial run 0.26 s, so on two cores "
-        "two threads are no faster than one. On 8+ usable cores the bench "
-        "asserts >= 3x for the pool at 8 workers. The fork and "
+        "leg builds its Entity Index outside the timer. Each round runs "
+        "every leg once, and `seconds` is a leg's median over five rounds, "
+        "`q1-q3` its spread, `speedup` the ratio of medians and `phases` "
+        "the per-phase medians. On a 2-core host the serial leg's spread "
+        "(0.27-0.31 s) overlaps every other leg's except the pool at 8 "
+        "workers, which is slower (0.33 s), so on two cores threads buy "
+        "nothing. The earlier one-round table of this bench had the 8-thread "
+        "leg beating serial (0.228 s against 0.261 s): noise. On 8+ usable "
+        "cores the bench asserts >= 3x for the pool at 8 workers, read off "
+        "the medians. The fork and "
         "shared-memory spawn pools were removed after an earlier "
         "revision's run of this bench on the same host timed ReWNP at 2 "
         "workers at 0.310 s on threads, 0.394 s on fork and 0.936 s on "

@@ -3,8 +3,8 @@
 Covers the full matrix: every pruning algorithm, serial and both parallel
 executor backends (thread pool, in-process), eager versus spilled output —
 the retained comparison sequence must be identical everywhere, on the
-supervised classifier scheme too. Plus the
-failure path: a crash mid-spill leaves no artifacts behind.
+supervised classifier scheme too. Plus the failure path: a crash mid-spill
+leaves no artifacts behind.
 """
 
 from __future__ import annotations
