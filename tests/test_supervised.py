@@ -172,7 +172,7 @@ class TestClassifierScheme:
 
     def test_weights_are_feature_probabilities(self, trained):
         """Every directed edge ``owner -> neighbour`` weighs exactly what
-        the model predicts for its feature vector, on both backends."""
+        the model predicts for its feature vector."""
         blocks, model = trained
         extractor = EdgeFeatureExtractor(blocks)
         weighting = OptimizedEdgeWeighting(blocks, ClassifierScheme(model))
@@ -186,11 +186,16 @@ class TestClassifierScheme:
             ]
         )
         assert np.array_equal(batch.weights, expected)
-        original = OriginalEdgeWeighting(blocks, ClassifierScheme(model))
-        for owner in weighting.nodes():
-            assert dict(original.neighborhood(owner)) == dict(
-                weighting.neighborhood(owner)
-            )
+
+    def test_original_backend_weighs_the_same(self, example_blocks):
+        # Algorithm 2 weighs one edge at a time through ``weight()``.
+        scheme = ClassifierScheme(_trained_on_example(example_blocks))
+        optimized = OptimizedEdgeWeighting(example_blocks, scheme)
+        original = OriginalEdgeWeighting(example_blocks, scheme)
+        for owner in optimized.nodes():
+            batch = optimized.neighborhood_batch([owner])
+            expected = dict(zip(batch.neighbors.tolist(), batch.weights.tolist()))
+            assert dict(original.neighborhood(owner)) == expected
 
     @pytest.mark.parametrize("mode", SupervisedMetaBlocking.MODES)
     def test_modes_are_core_algorithms(self, trained, mode):
