@@ -16,12 +16,6 @@ insert. :class:`DeltaEntityIndex` provides that:
   consume (``block_slice``/``block_list``/``cooccurring``/
   ``cooccurrence_arrays``/``placed_entities``/counts/masks), so
   ``EdgeWeighting._from_shared_index`` builds a working backend over it;
-* **block stamps**: every mutation writes the new :attr:`epoch` into
-  :attr:`block_stamps` for each block whose neighborhoods it changed, so
-  per-node state a caller computed at epoch ``t`` is stale exactly when
-  one of the node's blocks carries a stamp above ``t`` — checkable for
-  one node through :meth:`block_slice`, or for every node at once over
-  :meth:`assignment_arrays`, without walking any block's members;
 * **epoch-based compaction**: :meth:`compact` merges the deltas into a
   fresh CSR via :meth:`EntityIndex.from_csr` — bit-identical to
   ``EntityIndex.from_blocks`` on the equivalent collection — and swaps it
@@ -31,9 +25,9 @@ insert. :class:`DeltaEntityIndex` provides that:
 Every mutation bumps :attr:`epoch`; epoch-aware consumers (the weighting
 backends) compare it against their cached value and refresh stale memos.
 
-The delta view is for the *serial* streaming path: the parallel executor
-chunks over raw base arrays and is not delta-aware — compact first, then
-hand the fresh base (or :meth:`to_block_collection`) to ``meta_block``.
+The parallel executor reads the index through the same view, so it prunes
+a weighting over the live delta index as a serial run does, with no
+compaction first.
 """
 
 from __future__ import annotations
@@ -156,7 +150,6 @@ class DeltaEntityIndex:
         self._second = second
         self._excluded = np.zeros(num_blocks, dtype=bool)
         self._has_exclusions = False
-        self._stamps = np.zeros(num_blocks, dtype=np.int64)
         if second_side:
             if not self.is_bilateral:
                 raise ValueError("second_side given for a unilateral index")
@@ -174,9 +167,8 @@ class DeltaEntityIndex:
         # multi-entity gather; invalidated per block on append.
         self._delta_arrays1: dict[int, np.ndarray] = {}
         self._delta_arrays2: dict[int, np.ndarray] = {}
-        # The same memberships as flat (entity, block) arrays in append
-        # order; the first ``_delta_assignments`` slots are live.
-        self._delta_entity_ids = _EMPTY_I64
+        # The block of every delta membership, in append order; the first
+        # ``_delta_assignments`` slots are live.
         self._delta_block_ids = _EMPTY_I64
         self._delta_assignments = 0
         # All assignments, base plus delta; compaction moves them, so it
@@ -241,7 +233,6 @@ class DeltaEntityIndex:
         self._sizes2 = _grow(self._sizes2, num_blocks)
         self._inverse = _grow(self._inverse, num_blocks)
         self._excluded = _grow(self._excluded, num_blocks)
-        self._stamps = _grow(self._stamps, num_blocks)
         self.epoch += 1
         return block_id
 
@@ -249,11 +240,7 @@ class DeltaEntityIndex:
         """Append ``entity`` to each block (side chosen by the entity's mask).
 
         A one-assignment :meth:`apply_batch`: validated before anything
-        changes, so a rejected call leaves the index untouched. Stamps the
-        touched blocks; when the entity already had block memberships,
-        *all* of its blocks are stamped: its ``|B_i|`` changed, so every
-        edge incident to it — i.e. every neighborhood it appears in — went
-        stale, not just those through the new blocks.
+        changes, so a rejected call leaves the index untouched.
         """
         self.apply_batch(assignments=[(entity, block_ids)])
 
@@ -273,8 +260,7 @@ class DeltaEntityIndex:
         :meth:`assign` calls, but the statistic arrays are grown once, the
         per-block inverse cardinalities are recomputed in one vectorized
         pass over the touched blocks, and :attr:`epoch` bumps exactly once
-        (an empty batch does not bump), so every block the batch touches
-        carries that one stamp.
+        (an empty batch does not bump).
 
         Validates the whole batch before mutating anything, so a rejected
         batch leaves the index untouched. Returns the new
@@ -324,20 +310,14 @@ class DeltaEntityIndex:
             self._sizes2 = _grow(self._sizes2, total_blocks)
             self._inverse = _grow(self._inverse, total_blocks)
             self._excluded = _grow(self._excluded, total_blocks)
-            self._stamps = _grow(self._stamps, total_blocks)
 
-        epoch = self.epoch + 1
         start = cursor = self._delta_assignments
         stop = start + sum(len(ids) for _, ids in normalized)
-        self._delta_entity_ids = _grow(self._delta_entity_ids, stop)
         self._delta_block_ids = _grow(self._delta_block_ids, stop)
-        renumber: list[int] = []
         for entity, ids in normalized:
             side2 = self.is_bilateral and bool(self._second[entity])
             members = self._delta_members2 if side2 else self._delta_members1
             arrays = self._delta_arrays2 if side2 else self._delta_arrays1
-            if self._counts[entity]:
-                renumber.append(entity)
             self._counts[entity] += len(ids)
             self._delta_blocks_of.setdefault(entity, set()).update(ids)
             self._blocks_of_cache.pop(entity, None)
@@ -345,7 +325,6 @@ class DeltaEntityIndex:
                 members.setdefault(block_id, []).append(entity)
                 arrays.pop(block_id, None)
             end = cursor + len(ids)
-            self._delta_entity_ids[cursor:end] = entity
             blocks = self._delta_block_ids[cursor:end]
             blocks[:] = ids
             # ``ids`` holds no repeats, so one fancy increment is exact.
@@ -356,12 +335,7 @@ class DeltaEntityIndex:
         touched = self._delta_block_ids[start:stop]
         if touched.size:
             self._update_inverse_many(touched)
-            self._stamps[touched] = epoch
-        for entity in renumber:
-            # |B_entity| changed mid-stream: every neighborhood containing
-            # the entity went stale, so all of its blocks are stamped.
-            self._stamps[self.block_slice(entity)] = epoch
-        self.epoch = epoch
+        self.epoch += 1
         return (
             list(range(entity_start, total_entities)),
             list(range(block_start, total_blocks)),
@@ -371,8 +345,7 @@ class DeltaEntityIndex:
         """Veil a block from co-occurrence queries (streaming Block Purging).
 
         The block keeps its members, sizes and statistics — and survives
-        compaction — but no longer contributes comparison partners. Its
-        members' neighborhoods change, so it is stamped.
+        compaction — but no longer contributes comparison partners.
         """
         if not 0 <= block_id < len(self._keys):
             raise ValueError(f"unknown block id {block_id}")
@@ -381,7 +354,6 @@ class DeltaEntityIndex:
         self._excluded[block_id] = True
         self._has_exclusions = True
         self.epoch += 1
-        self._stamps[block_id] = self.epoch
 
     def is_excluded(self, block_id: int) -> bool:
         return bool(self._excluded[block_id])
@@ -399,37 +371,6 @@ class DeltaEntityIndex:
         if not self.is_bilateral:
             return []
         return np.flatnonzero(self._second[: self._num_entities]).tolist()
-
-    # -- staleness stamps ----------------------------------------------------
-
-    @property
-    def block_stamps(self) -> np.ndarray:
-        """Per block, the epoch of the last mutation that changed any
-        neighborhood through it (0: none since construction; live view)."""
-        return self._stamps[: len(self._keys)]
-
-    def assignment_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every ``(entity, block)`` membership as two aligned int64 arrays.
-
-        The base's entity CSR expanded in entity order, then the delta's
-        assignments in append order (read-only; without a base they are
-        views of the index's own buffers). Together with
-        :attr:`block_stamps` this finds every node with a block stamped
-        after some per-node epoch in a few vectorized passes.
-        """
-        count = self._delta_assignments
-        entities = self._delta_entity_ids[:count]
-        blocks = self._delta_block_ids[:count]
-        base = self._base
-        if base is None:
-            return entities, blocks
-        base_entities = np.repeat(
-            np.arange(base.num_entities, dtype=np.int64), np.diff(base.indptr)
-        )
-        return (
-            np.concatenate((base_entities, entities)),
-            np.concatenate((base.block_indices, blocks)),
-        )
 
     # -- read-through Entity Index API ---------------------------------------
 
@@ -761,7 +702,6 @@ class DeltaEntityIndex:
         self._blocks_of_cache = {}
         self._delta_arrays1 = {}
         self._delta_arrays2 = {}
-        self._delta_entity_ids = _EMPTY_I64
         self._delta_block_ids = _EMPTY_I64
         self._delta_assignments = 0
         return fresh

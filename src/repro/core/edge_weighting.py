@@ -432,16 +432,6 @@ class EdgeWeighting(ABC):
         if self.scheme.uses_degrees and self._degrees is None:
             self._compute_degrees()
 
-    def prime(self) -> None:
-        """Resolve every epoch-dependent memo **now**, on the caller's thread.
-
-        Thread-fanout consumers (the incremental resolver's parallel
-        refresh) call this before handing per-thread clones slices of the
-        node set, so the shared index's lazily-filled caches are written
-        once here and only read concurrently afterwards.
-        """
-        self._prepare_scheme_inputs()
-
     def _batch_weights(
         self,
         owners: np.ndarray,

@@ -28,7 +28,6 @@ from repro.core.pruning.edge_centric import (
 from repro.core.pruning.node_centric import (
     CardinalityNodePruning,
     WeightedNodePruning,
-    node_criteria,
 )
 from repro.core.pruning.reciprocal import (
     ReciprocalCardinalityNodePruning,
@@ -66,6 +65,5 @@ __all__ = [
     "WeightedEdgePruning",
     "WeightedNodePruning",
     "key_retention",
-    "node_criteria",
     "threshold_retention",
 ]

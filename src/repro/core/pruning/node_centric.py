@@ -51,54 +51,6 @@ def _canonical_pairs(entities: np.ndarray, others: np.ndarray) -> Pairs:
     return np.minimum(entities, others), np.maximum(entities, others)
 
 
-#: Entities per :meth:`~repro.core.edge_weighting.EdgeWeighting.neighborhood_batch`
-#: call in :func:`node_criteria`. Purely a memory/amortisation knob — like
-#: every chunk size in the stack, batch boundaries never affect results.
-NODE_CRITERIA_BATCH = 512
-
-
-def node_criteria(
-    weighting: EdgeWeighting,
-    entities: "list[int]",
-    k: int,
-    chunk_size: int | None = None,
-):
-    """Per-node pruning criteria for a node subset, via the batch kernels.
-
-    Yields ``(entity, topk_neighbors, mean)`` for every entity of
-    ``entities`` with a non-empty neighbourhood: the CNP top-k neighbor ids
-    (ascending — the order :func:`topk_per_segment` emits within a
-    segment, so CNP exports reproduce the batch pair order) and the WNP
-    mean weight. Entities with empty neighbourhoods are skipped, exactly
-    as the batch algorithms skip them.
-
-    This is the re-pruning entry point of the incremental resolver: at
-    export it re-derives criteria only for the stale nodes, with the same
-    selection and tie-breaking as a full batch pass. Each run of
-    ``chunk_size`` entities (a node count, :data:`NODE_CRITERIA_BATCH` by
-    default) is served by one ``neighborhood_batch`` call.
-    """
-    nodes = max(1, chunk_size) if chunk_size else NODE_CRITERIA_BATCH
-    for start in range(0, len(entities), nodes):
-        group = weighting.neighborhood_batch(
-            entities[start : start + nodes]
-        ).node_group()
-        if not group.entities.size:
-            continue
-        means = segment_means(group)
-        selected, segments = topk_per_segment(group, k)
-        picked = np.bincount(segments, minlength=group.entities.size)
-        offsets = np.zeros(group.entities.size + 1, dtype=np.int64)
-        np.cumsum(picked, out=offsets[1:])
-        neighbors = group.neighbors[selected]
-        for position, entity in enumerate(group.entities.tolist()):
-            yield (
-                int(entity),
-                neighbors[offsets[position] : offsets[position + 1]],
-                float(means[position]),
-            )
-
-
 class CardinalityNodePruning(PruningAlgorithm):
     """CNP: keep the top-k weighted edges of every node neighbourhood.
 

@@ -19,9 +19,8 @@ Both phases are chunk steps (:class:`~repro.core.pruning.base.PruningRun`):
 phase 1 derives the criterion per node chunk, merged owner-side into a flat
 array form (sorted directed-pair keys, per-entity threshold array); phase 2
 is one retention mask per :class:`~repro.core.edge_stream.EdgeBatch`
-(:func:`key_retention`, :func:`threshold_retention`), shared with the
-incremental resolver's exports. The per-edge references keep the
-dict-of-sets / dict-of-floats form of phase 1.
+(:func:`key_retention`, :func:`threshold_retention`). The per-edge
+references keep the dict-of-sets / dict-of-floats form of phase 1.
 """
 
 from __future__ import annotations
@@ -135,8 +134,7 @@ def key_retention(
 ) -> "Callable[[EdgeBatch], np.ndarray]":
     """Phase 2 step of (redefined/reciprocal) CNP: retain an edge when its
     directed keys appear in ``keys`` for either endpoint (disjunctive) or
-    both (conjunctive). Shared by the batch algorithms and the incremental
-    resolver's full-export path."""
+    both (conjunctive)."""
 
     def retain(batch: EdgeBatch) -> np.ndarray:
         in_left = keys_contain(

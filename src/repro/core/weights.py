@@ -61,11 +61,6 @@ class WeightingScheme(ABC):
     uses_arcs_sum: bool = False
     #: Whether the backend must pre-compute node degrees (extra graph pass).
     uses_degrees: bool = False
-    #: Whether weights depend on the collection-level block count ``|B|``.
-    #: On a mutable index every new block then shifts *all* edge weights,
-    #: so incremental consumers must invalidate every per-node memo when
-    #: ``|B|`` grows, not just the stamped neighborhoods.
-    uses_total_blocks: bool = False
     #: Whether the scheme can serve streaming/incremental queries. Degree-
     #: based schemes need a full extra pass over the graph per epoch, which
     #: defeats per-upsert querying, and the resolver's write-ahead log
@@ -208,7 +203,6 @@ class ECBS(WeightingScheme):
     """
 
     name = "ECBS"
-    uses_total_blocks = True
 
     def weight_array(
         self,
@@ -388,7 +382,6 @@ class X2(WeightingScheme):
     """
 
     name = "X2"
-    uses_total_blocks = True
 
     def weight(
         self,

@@ -24,10 +24,11 @@ layer over the exact batch machinery, running on a mutable
 * pruning is node-centric on the *new* node at insert time (its top-``k``
   weighted neighbours, CNP-style, optionally validated by the reciprocal
   test), and :meth:`IncrementalMetaBlocking.candidate_pairs` exports the
-  full pruned graph with the batch kernels, re-deriving criteria only for
-  the *stale* nodes: those with a block the index stamped after their
-  criteria were computed (found in one vectorized pass at export, so an
-  upsert pays for its own blocks only, never for their members).
+  full pruned graph by running the batch pruning algorithm on the live
+  delta-index weighting — serially or on the executor's thread pool, as
+  the resolver's :class:`~repro.core.execution.ExecutionConfig` asks. No
+  per-node criteria are kept between calls, so an upsert pays for its own
+  neighborhood only.
 
 Weights use the paper's schemes over the *current* state, so early weights
 drift as the collection grows — the standard incremental-ER trade-off. EJS
@@ -41,7 +42,6 @@ from __future__ import annotations
 import numbers
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -57,21 +57,12 @@ from repro.blockprocessing.delta_index import (
 from repro.blockprocessing.entity_index import EntityIndex
 from repro.core.edge_stream import (
     NodeGroup,
-    directed_pair_keys,
-    neighborhood_mean,
-    segment_means,
     select_topk_neighbors,
     topk_per_segment,
 )
 from repro.core.execution import ExecutionConfig
-from repro.core.parallel import parallel_prune, resolve_workers
-from repro.core.pruning.node_centric import (
-    NODE_CRITERIA_BATCH,
-    WeightedNodePruning,
-    node_criteria,
-)
-from repro.core.pruning.base import PruningRun
-from repro.core.pruning.redefined import key_retention, threshold_retention
+from repro.core.parallel import parallel_prune
+from repro.core.pruning import PRUNING_ALGORITHMS
 from repro.core.vectorized import VectorizedEdgeWeighting
 from repro.core.wal import (
     SNAPSHOT_SUBDIR,
@@ -89,14 +80,12 @@ from repro.core.wal import (
 from repro.core.weights import WeightingScheme, get_scheme
 from repro.datamodel.blocks import BlockCollection
 from repro.datamodel.profiles import EntityProfile
-from repro.datamodel.sinks import ComparisonView, InMemorySink
+from repro.datamodel.sinks import ComparisonView
 
 #: Auto-compaction floor: below this many delta assignments the ratio
 #: trigger stays quiet, so a young collection is not compacted every
 #: handful of upserts while its delta fraction is necessarily high.
 MIN_COMPACT_ASSIGNMENTS = 256
-
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 
 def _require_integer(name: str, value) -> None:
@@ -153,7 +142,8 @@ class IncrementalMetaBlocking:
     execution:
         Optional :class:`~repro.core.execution.ExecutionConfig`; its
         ``compact_ratio``/``compact_dir`` fields seed the two parameters
-        below when those are not given explicitly.
+        below when those are not given explicitly, and its ``parallel``
+        field is the worker count of :meth:`candidate_pairs`.
     compact_ratio:
         Delta-mass fraction at which the index auto-compacts (in
         ``(0, 1]``); ``None`` never auto-compacts. Auto-compaction also
@@ -279,19 +269,6 @@ class IncrementalMetaBlocking:
         )
         self._profiles: list[EntityProfile] = []
         self._key_to_block: dict[str, int] = {}
-        # Per-node pruning state: entity -> (ascending top-k neighbor ids,
-        # neighborhood mean weight), and per entity the index epoch its
-        # entry was computed at (-1: no entry). An entry is valid while
-        # none of the node's blocks carries a newer stamp
-        # (DeltaEntityIndex.block_stamps); stale entries are re-derived
-        # lazily (at the next reciprocal probe or export) with the batch
-        # kernels.
-        self._criteria: dict[int, tuple[np.ndarray, float]] = {}
-        self._criteria_epochs = np.full(0, -1, dtype=np.int64)
-        # |B| at the time the criteria were valid: schemes whose weights
-        # depend on the total block count (ECBS, X2) invalidate everything
-        # when a new block appears, not just stamped neighborhoods.
-        self._criteria_blocks = 0
 
         #: The attached write-ahead log, or ``None`` when memory-only.
         self.wal: "WriteAheadLog | None" = None
@@ -398,7 +375,7 @@ class IncrementalMetaBlocking:
         order — Block Filtering sees the same intermediate block sizes, the
         size guard excludes blocks at the same points, each profile's
         candidates only reference earlier entities, and every later export
-        re-derives the same criteria — but the whole batch costs one
+        sees the same collection — but the whole batch costs one
         index mutation (one epoch bump) and a handful of fused multi-node
         kernel calls instead of per-upsert kernel launches. For the
         insertion-count schemes (CBS, JS) the candidate lists are
@@ -447,7 +424,6 @@ class IncrementalMetaBlocking:
         new_block_keys: list[str] = []
         flags: list[bool] = []
         assignments: list[tuple[int, list[int]]] = []
-        member_block_ids: list[list[int]] = []
         # (member position, block id) exclusion events, ascending position:
         # the block crossed ``max_block_size`` when that member joined it.
         crossings: list[tuple[int, int]] = []
@@ -485,7 +461,6 @@ class IncrementalMetaBlocking:
                     if base + pending_sizes[block_id] > self.max_block_size:
                         crossings.append((position, block_id))
                         crossed.add(block_id)
-            member_block_ids.append(block_ids)
             if block_ids:
                 assignments.append((entity_start + position, block_ids))
         if clock:
@@ -512,11 +487,6 @@ class IncrementalMetaBlocking:
             # assigning), so batch members are queried in runs of constant
             # exclusion state.
             results: list[list[Candidate]] = [[] for _ in profiles]
-            last_position: dict[int, int] = {}
-            for position, block_ids in enumerate(member_block_ids):
-                for block_id in block_ids:
-                    last_position[block_id] = position
-            crossing_after = {block_id: pos for pos, block_id in crossings}
             cursor = 0
             event = 0
             while cursor < len(profiles):
@@ -526,15 +496,7 @@ class IncrementalMetaBlocking:
                 stop = crossings[event][0] if event < len(crossings) else len(
                     profiles
                 )
-                self._query_segment(
-                    entity_start,
-                    cursor,
-                    stop,
-                    member_block_ids,
-                    last_position,
-                    crossing_after,
-                    results,
-                )
+                self._query_segment(entity_start, cursor, stop, results)
                 cursor = stop
             # One WAL record per committed batch — this is the group
             # commit: the daemon's whole coalescing convoy becomes a
@@ -642,17 +604,14 @@ class IncrementalMetaBlocking:
     def candidate_pairs(self, algorithm: str = "CNP") -> ComparisonView:
         """Node-centric pruning over the *whole* current collection.
 
-        ``WNP`` runs the batch algorithm on the live weighting, with the
-        workers ``ExecutionConfig.parallel`` asks for. The others re-derive
-        per-node criteria only for stale nodes (no entry yet, or a block
-        stamped since the entry), then run the requested batch algorithm's
-        retention with those criteria — for ``CNP`` straight from the
-        cache, for the two-phase families (``ReCNP``/``ReWNP`` and their
-        reciprocal variants) by streaming phase 2 over the distinct-edge
-        stream. The result matches the batch algorithm run on
-        :meth:`to_block_collection` with the same explicit ``k`` (exactly
-        for the integer-statistic schemes CBS/JS; ARCS sums can differ in
-        the last float bit when block orders differ).
+        Runs the batch algorithm on the live delta-index weighting — with
+        the resolver's ``k`` for the cardinality families (``CNP``,
+        ``ReCNP``, ``RcCNP``) — serially, or on the executor's thread pool
+        with the workers ``ExecutionConfig.parallel`` asks for. The result
+        matches the batch algorithm run on :meth:`to_block_collection`
+        with the same explicit ``k`` (exactly for the integer-statistic
+        schemes CBS/JS; ARCS sums can differ in the last float bit when
+        block orders differ).
         """
         if algorithm not in EXPORT_ALGORITHMS:
             known = ", ".join(EXPORT_ALGORITHMS)
@@ -660,43 +619,22 @@ class IncrementalMetaBlocking:
                 f"unknown export algorithm {algorithm!r}; known: {known}"
             )
         self.flush()
-        weighting = self._weighting
-        if algorithm == "WNP":
-            parallel = None if self.execution is None else self.execution.parallel
-            return parallel_prune(
-                weighting,
-                WeightedNodePruning(),
-                workers=1 if parallel is None else parallel,
-            )
-        self._refresh_criteria()
-        sink = InMemorySink()
-        try:
-            if algorithm == "CNP":
-                self._export_cnp(sink)
-            elif algorithm in ("ReCNP", "RcCNP"):
-                PruningRun(weighting, sink).retain(
-                    key_retention(
-                        self._criteria_keys(),
-                        algorithm == "RcCNP",
-                        weighting.num_entities,
-                    )
-                )
-            else:  # ReWNP / RcWNP
-                PruningRun(weighting, sink).retain(
-                    threshold_retention(
-                        self._criteria_thresholds(), algorithm == "RcWNP"
-                    )
-                )
-        except BaseException:
-            sink.abort()
-            raise
-        return sink.finalize(self.index.num_entities)
+        family = PRUNING_ALGORITHMS[algorithm]
+        pruning = (
+            family(self.k) if algorithm in ("CNP", "ReCNP", "RcCNP") else family()
+        )
+        parallel = None if self.execution is None else self.execution.parallel
+        return parallel_prune(
+            self._weighting,
+            pruning,
+            workers=1 if parallel is None else parallel,
+        )
 
     def compact(self) -> EntityIndex:
         """Merge the index deltas into a fresh base CSR now.
 
-        Per-node criteria stay valid — compaction changes the storage
-        layout, never the collection. Persists an epoch snapshot when
+        Compaction changes the storage layout, never the collection, so
+        every later answer is unchanged. Persists an epoch snapshot when
         ``compact_dir`` is configured. Buffered
         :meth:`submit` profiles are committed first *without* tripping
         auto-compaction — the flushed batch folds into this one compaction
@@ -1087,12 +1025,6 @@ class IncrementalMetaBlocking:
         )
         self._profiles = profiles
         self._key_to_block = {key: pos for pos, key in enumerate(keys)}
-        # Criteria are a pure function of the collection: with no entries,
-        # every placed node is stale, so the next export re-derives them
-        # bit-identically to an uninterrupted run.
-        self._criteria = {}
-        self._criteria_epochs = np.full(0, -1, dtype=np.int64)
-        self._criteria_blocks = 0
         self.compactions = int(state.get("compactions", 0))
 
     # -- internals -----------------------------------------------------------
@@ -1157,9 +1089,6 @@ class IncrementalMetaBlocking:
         entity_start: int,
         start: int,
         stop: int,
-        member_block_ids: "list[list[int]]",
-        last_position: "dict[int, int]",
-        crossing_after: "dict[int, int]",
         results: "list[list[Candidate]]",
     ) -> None:
         """Answer batch members ``[start, stop)`` with one fused kernel call.
@@ -1167,9 +1096,7 @@ class IncrementalMetaBlocking:
         Each member's candidates must only reference entities inserted
         before it, so the shared post-batch neighborhoods are masked per
         segment to ``neighbor < member id`` — reproducing the at-insert
-        state exactly for the insertion-count schemes. Criteria are cached
-        only for members whose neighborhoods no later batch event touches
-        (the sequential path would leave everyone else stale too).
+        state exactly for the insertion-count schemes.
         """
         clock = time.perf_counter if self.profile_phases else None
         if clock:
@@ -1200,13 +1127,10 @@ class IncrementalMetaBlocking:
             neighbors=neighbors,
             weights=weights,
         )
-        means = segment_means(group) if nonempty.size else _EMPTY_IDS
         selected, segments = topk_per_segment(group, self.k)
         picked = np.bincount(segments, minlength=nonempty.size)
         picked_offsets = np.zeros(nonempty.size + 1, dtype=np.int64)
         np.cumsum(picked, out=picked_offsets[1:])
-        # topk_per_segment orders within a segment by ascending neighbor —
-        # the criteria layout; candidates re-sort by (-weight, id) below.
         topk_neighbors = group.neighbors[selected]
         topk_weights = group.weights[selected]
         topk_counts = counts[selected]
@@ -1223,49 +1147,26 @@ class IncrementalMetaBlocking:
                     probe.weights[piece],
                 )
 
-        segment_of = np.full(members.size, -1, dtype=np.int64)
-        segment_of[nonempty] = np.arange(nonempty.size)
-        for local in range(members.size):
-            position = start + local
+        # Members with an empty masked neighborhood keep their empty list.
+        for segment, local in enumerate(nonempty.tolist()):
             entity = int(members[local])
-            block_ids = member_block_ids[position]
-            segment = int(segment_of[local])
-            if segment < 0:
-                topk, mean = _EMPTY_IDS, float("inf")
-                retained: list[Candidate] = []
-            else:
-                topk = topk_neighbors[
-                    picked_offsets[segment] : picked_offsets[segment + 1]
-                ]
-                mean = float(means[segment])
-                retained = []
-                for slot in order[
-                    picked_offsets[segment] : picked_offsets[segment + 1]
-                ].tolist():
-                    other = int(topk_neighbors[slot])
-                    if self.reciprocal and not self._probe_reciprocates(
-                        probes, entity, other
-                    ):
-                        continue
-                    retained.append(
-                        Candidate(
-                            other,
-                            float(topk_weights[slot]),
-                            int(topk_counts[slot]),
-                        )
+            retained: list[Candidate] = []
+            for slot in order[
+                picked_offsets[segment] : picked_offsets[segment + 1]
+            ].tolist():
+                other = int(topk_neighbors[slot])
+                if self.reciprocal and not self._probe_reciprocates(
+                    probes, entity, other
+                ):
+                    continue
+                retained.append(
+                    Candidate(
+                        other,
+                        float(topk_weights[slot]),
+                        int(topk_counts[slot]),
                     )
-            results[position] = retained
-            # Cache the criteria only when no later batch member joins any
-            # of the entity's blocks and none of them crosses the size cap
-            # afterwards: only then is the masked neighborhood the
-            # post-batch one. The batch's stamps all predate this entry, so
-            # they could not mark a partial one stale.
-            if all(
-                last_position[block_id] == position
-                and crossing_after.get(block_id, -1) <= position
-                for block_id in block_ids
-            ):
-                self._store_criteria(entity, topk, mean)
+                )
+            results[start + local] = retained
         if clock:
             self.phase_seconds["criteria"] += clock() - tick
 
@@ -1279,9 +1180,7 @@ class IncrementalMetaBlocking:
 
         Masks the shared probe to ``neighbor <= entity`` (the state the
         sequential path evaluates at ``entity``'s insertion) and checks
-        the top-k there. ``other``'s own cache entry is left alone — it
-        stays stale and is re-derived at the next export, which yields the
-        same values.
+        the top-k there.
         """
         probe_neighbors, probe_weights = probes[other]
         visible = probe_neighbors <= entity
@@ -1291,23 +1190,6 @@ class IncrementalMetaBlocking:
         weights = probe_weights[visible]
         selected = select_topk_neighbors(weights, neighbors, self.k)
         return bool(np.any(neighbors[selected] == entity))
-
-    def _store_criteria(
-        self, entity: int, topk: np.ndarray, mean: float
-    ) -> None:
-        """Cache ``entity``'s criteria as computed at the current epoch."""
-        self._criteria[entity] = (topk, mean)
-        self._entry_epochs()[entity] = self.index.epoch
-
-    def _entry_epochs(self) -> np.ndarray:
-        """The per-entity criteria epochs, grown to cover every entity."""
-        epochs = self._criteria_epochs
-        needed = self.index.num_entities
-        if epochs.size < needed:
-            grown = np.full(max(needed, 2 * epochs.size), -1, dtype=np.int64)
-            grown[: epochs.size] = epochs
-            self._criteria_epochs = epochs = grown
-        return epochs
 
     def _query(self, entity: int) -> list[Candidate]:
         """Score the new node's neighborhood and return its top-k."""
@@ -1335,17 +1217,12 @@ class IncrementalMetaBlocking:
         weights: np.ndarray,
     ) -> list[Candidate]:
         if neighbors.size == 0:
-            self._store_criteria(entity, _EMPTY_IDS, float("inf"))
             return []
         selected = select_topk_neighbors(weights, neighbors, self.k)
-        chosen = neighbors[selected]
-        self._store_criteria(
-            entity, np.sort(chosen), neighborhood_mean(weights)
-        )
         retained = [
             Candidate(other, weight, common)
             for other, weight, common in zip(
-                chosen.tolist(),
+                neighbors[selected].tolist(),
                 weights[selected].tolist(),
                 counts[selected].tolist(),
             )
@@ -1354,150 +1231,15 @@ class IncrementalMetaBlocking:
         retained.sort(key=lambda c: (-c.weight, c.entity_id))
         return retained
 
-    def _criterion_ids(self, entity: int) -> np.ndarray:
-        """The entity's current top-k neighbor ids (cached unless stale)."""
-        cached = self._criteria.get(entity)
-        if cached is not None:
-            index = self.index
-            stamps = index.block_stamps[index.block_slice(entity)]
-            computed = self._criteria_epochs[entity]
-            if not stamps.size or stamps.max() <= computed:
-                return cached[0]
-        neighbors, _, weights = self._weighting.weighted_neighborhood(entity)
-        if neighbors.size == 0:
-            self._store_criteria(entity, _EMPTY_IDS, float("inf"))
-            return _EMPTY_IDS
-        selected = select_topk_neighbors(weights, neighbors, self.k)
-        topk = np.sort(neighbors[selected])
-        self._store_criteria(entity, topk, neighborhood_mean(weights))
-        return topk
-
     def _reciprocates(self, entity: int, other: int) -> bool:
         """Does ``entity`` rank in ``other``'s top-k neighborhood?
 
         Reciprocal CNP's conjunctive test, evaluated on the post-insertion
         state (the batch semantics: both directed edges must survive).
         """
-        return bool(np.any(self._criterion_ids(other) == entity))
-
-    def _refresh_criteria(self) -> None:
-        """Re-derive pruning criteria for every stale node.
-
-        A placed node is stale when it has no entry, or when one of its
-        blocks carries a stamp newer than its entry's epoch; one vectorized
-        pass over every (entity, block) assignment finds them all.
-        """
-        index = self.index
-        epochs = self._entry_epochs()
-        if (
-            self.scheme.uses_total_blocks
-            and index.num_blocks != self._criteria_blocks
-        ):
-            # |B| shifted every weight in the graph; nothing is reusable.
-            self._criteria.clear()
-            epochs.fill(-1)
-        self._criteria_blocks = index.num_blocks
-        entities, blocks = index.assignment_arrays()
-        flagged = np.zeros(index.num_entities, dtype=bool)
-        flagged[entities[index.block_stamps[blocks] > epochs[entities]]] = True
-        stale_ids = np.flatnonzero(flagged)
-        if not stale_ids.size:
-            return
-        stale = stale_ids.tolist()
-        # Kept where nothing is yielded below: the neighborhood is empty
-        # (e.g. all of the node's blocks are excluded) — no retained
-        # edges, no mean.
-        self._criteria.update(dict.fromkeys(stale, (_EMPTY_IDS, float("inf"))))
-        workers = self._kernel_workers(len(stale))
-        if workers > 1:
-            # Delta-aware parallel re-pruning: the stale nodes are split
-            # into contiguous chunks and each thread re-derives criteria
-            # with its own weighting clone over the *shared* delta index —
-            # no compaction needed first. Per-node results are
-            # independent, so the merge is trivially deterministic.
-            self._weighting.prime()
-            shared_index = self.index
-            scheme = self.scheme
-            k = self.k
-
-            def run(chunk: "list[int]"):
-                clone = type(self._weighting)._from_shared_index(
-                    shared_index, scheme
-                )
-                return list(node_criteria(clone, chunk, k))
-
-            chunks = [
-                stale[start : start + NODE_CRITERIA_BATCH]
-                for start in range(0, len(stale), NODE_CRITERIA_BATCH)
-            ]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(run, chunks):
-                    for entity, topk, mean in part:
-                        self._criteria[entity] = (topk, mean)
-        else:
-            for entity, topk, mean in node_criteria(
-                self._weighting, stale, self.k
-            ):
-                self._criteria[entity] = (topk, mean)
-        epochs[stale_ids] = index.epoch
-
-    def _kernel_workers(self, nodes: int) -> int:
-        """Thread count for a multi-node kernel pass over ``nodes`` nodes.
-
-        The clones read the live delta index zero-copy, so the pass needs
-        no compaction first.
-        """
-        execution = self.execution
-        if execution is None or execution.parallel in (None, 1):
-            return 1
-        workers = resolve_workers(execution.parallel)
-        if workers <= 1 or nodes < 2 * NODE_CRITERIA_BATCH:
-            return 1
-        return min(workers, nodes // NODE_CRITERIA_BATCH)
-
-    def _export_cnp(self, sink: InMemorySink) -> None:
-        """CNP straight from the criteria cache — no weight recomputation.
-
-        Emits per node in ascending node order, neighbors ascending: the
-        exact pair order of the batch
-        :class:`~repro.core.pruning.node_centric.CardinalityNodePruning`.
-        """
-        for entity in self.index.placed_entities():
-            cached = self._criteria.get(entity)
-            if cached is None or cached[0].size == 0:
-                continue
-            neighbors = cached[0]
-            entities = np.full(neighbors.size, entity, dtype=np.int64)
-            sink.append(
-                np.minimum(entities, neighbors),
-                np.maximum(entities, neighbors),
-            )
-
-    def _criteria_keys(self) -> np.ndarray:
-        """Phase-1 CNP keys (sorted directed pairs) from the cache."""
-        num_entities = self.index.num_entities
-        parts: list[np.ndarray] = []
-        for entity, (topk, _) in self._criteria.items():
-            if topk.size:
-                parts.append(
-                    directed_pair_keys(
-                        np.full(topk.size, entity, dtype=np.int64),
-                        topk,
-                        num_entities,
-                    )
-                )
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(parts))
-
-    def _criteria_thresholds(self) -> np.ndarray:
-        """Phase-1 WNP threshold array from the cache (``+inf`` default)."""
-        thresholds = np.full(
-            self.index.num_entities, np.inf, dtype=np.float64
-        )
-        for entity, (_, mean) in self._criteria.items():
-            thresholds[entity] = mean
-        return thresholds
+        neighbors, _, weights = self._weighting.weighted_neighborhood(other)
+        selected = select_topk_neighbors(weights, neighbors, self.k)
+        return bool(np.any(neighbors[selected] == entity))
 
     def _maybe_compact(self) -> None:
         index = self.index

@@ -14,8 +14,7 @@ dispatcher task pops them in arrival order and runs every resolver call in
 a one-thread ``ThreadPoolExecutor`` via ``loop.run_in_executor``. That one
 worker thread serialises all resolver mutations (the resolver is not
 thread-safe by itself), while the resolver's *own* ``ExecutionConfig`` can
-still fan stale-node re-pruning and exports out over the threads backend —
-the event loop stays responsive under sustained load because the GIL is
+still run its exports on the executor's thread pool — the event loop stays responsive under sustained load because the GIL is
 released inside the numpy kernels.
 
 Coalescing

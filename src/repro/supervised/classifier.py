@@ -51,7 +51,9 @@ class LogisticRegressionClassifier:
 
     def fit(self, X, y) -> "LogisticRegressionClassifier":
         """Train on feature matrix ``X`` (n x d) and 0/1 labels ``y``."""
-        X = np.asarray(X, dtype=np.float64)
+        # Row-major whatever the input's layout: numpy's reductions and
+        # matrix products round per layout, so a model must not depend on it.
+        X = np.ascontiguousarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or len(X) != len(y):
             raise ValueError(f"bad training shapes: {X.shape} vs {y.shape}")
@@ -90,10 +92,10 @@ class LogisticRegressionClassifier:
 
     def predict_proba(self, X) -> np.ndarray:
         """P(edge is a match) for each row of ``X``, whatever rows it is
-        batched with."""
+        batched with and whatever the matrix's memory layout."""
         if self.weights is None or self._mean is None or self._scale is None:
             raise RuntimeError("classifier is not fitted")
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
         Xs = (X - self._mean) / self._scale
         rows = len(Xs)
         if rows == 1:

@@ -48,7 +48,6 @@ class ClassifierScheme(WeightingScheme):
 
     name = "classifier"
     uses_arcs_sum = True
-    uses_total_blocks = True
     streamable = False
 
     def __init__(self, model: LogisticRegressionClassifier) -> None:

@@ -47,12 +47,6 @@ def build_reference(delta: DeltaEntityIndex) -> EntityIndex:
     return EntityIndex(delta.to_block_collection())
 
 
-def stale_since(index: DeltaEntityIndex, epoch: int) -> set[int]:
-    """Entities with a block stamped after ``epoch``."""
-    entities, blocks = index.assignment_arrays()
-    return set(entities[index.block_stamps[blocks] > epoch].tolist())
-
-
 def assert_delta_fraction_exact(index: DeltaEntityIndex) -> None:
     """The running assignment total agrees with the full ``|B_i|`` sum."""
     total = int(index.block_counts.sum())
@@ -106,7 +100,6 @@ class TestDeltaBasics:
                 index.block_counts.tolist(),
                 index.delta_assignments,
                 index.epoch,
-                index.block_stamps.tolist(),
             )
 
         before = state()
@@ -132,27 +125,6 @@ class TestDeltaBasics:
         entity = index.new_entity()
         index.assign(entity, [block])
         assert index.epoch > before
-
-    def test_dirty_tracking(self):
-        index = DeltaEntityIndex()
-        block = index.new_block()
-        index.new_block()
-        first = index.new_entity()
-        index.assign(first, [block])
-        seen = index.epoch
-        second = index.new_entity()
-        index.assign(second, [block])
-        # The shared block is stamped past ``seen``, so both members'
-        # state from ``seen`` is stale; the untouched block is not.
-        assert index.block_stamps.tolist() == [index.epoch, 0]
-        assert stale_since(index, seen) == {first, second}
-        # Nothing is stale against the current epoch.
-        assert stale_since(index, index.epoch) == set()
-        # Excluding a block changes its members' neighborhoods.
-        seen = index.epoch
-        index.exclude_block(block)
-        assert index.block_stamps[block] == index.epoch > seen
-        assert stale_since(index, seen) == {first, second}
 
     def test_exclusion_veils_cooccurrences(self):
         index = DeltaEntityIndex()
@@ -437,18 +409,6 @@ class TestApplyBatch:
         np.testing.assert_array_equal(
             seq.inverse_cardinality_array, bat.inverse_cardinality_array
         )
-        # The same blocks are stamped, the batch with its one epoch, so the
-        # same nodes are stale; the flat assignments match too.
-        touched = np.flatnonzero(seq.block_stamps)
-        np.testing.assert_array_equal(
-            np.flatnonzero(bat.block_stamps), touched
-        )
-        assert set(bat.block_stamps[touched].tolist()) == {bat.epoch}
-        assert stale_since(seq, 0) == stale_since(bat, 0)
-        for mine, theirs in zip(
-            seq.assignment_arrays(), bat.assignment_arrays()
-        ):
-            np.testing.assert_array_equal(mine, theirs)
 
     def test_single_epoch_bump(self):
         index = DeltaEntityIndex()
@@ -473,22 +433,6 @@ class TestApplyBatch:
         )
         assert entities == [1, 2]
         assert blocks == [1, 2]
-
-    def test_assignment_to_existing_entity_dirties_all_its_blocks(self):
-        index = DeltaEntityIndex()
-        old = index.new_entity()
-        first = index.new_block("first")
-        index.assign(old, [first])
-        seen = index.epoch
-        index.apply_batch([False], ["second"], [(old, [1]), (1, [0, 1])])
-        assert np.flatnonzero(index.block_stamps > seen).tolist() == [0, 1]
-        assert old in stale_since(index, seen)
-        # |B_old| changing stamps its old block even when nobody joins it.
-        index.new_block("third")
-        seen = index.epoch
-        index.assign(old, [2])
-        assert index.block_stamps.tolist() == [index.epoch] * 3
-        assert stale_since(index, seen) == {old, 1}
 
     def test_validates_before_mutating(self):
         index = DeltaEntityIndex()

@@ -291,56 +291,48 @@ class TestBatchEquivalence:
             execution=execution,
         )
 
-    @pytest.mark.parametrize("scheme", ["JS", "CBS"])
-    @pytest.mark.parametrize("algorithm", ["CNP", "ReCNP"])
-    def test_serial_equivalence(self, scheme, algorithm):
-        from repro.core.pruning import (
-            CardinalityNodePruning,
-            RedefinedCardinalityNodePruning,
-        )
+    @staticmethod
+    def _batch_algorithm(algorithm):
+        """The batch algorithm an export runs, with the resolver's ``k``."""
+        from repro.core.pruning import PRUNING_ALGORITHMS
 
+        family = PRUNING_ALGORITHMS[algorithm]
+        return family(2) if algorithm.endswith("CNP") else family()
+
+    @pytest.mark.parametrize("scheme", ["JS", "CBS"])
+    @pytest.mark.parametrize("algorithm", EXPORT_ALGORITHMS)
+    def test_serial_equivalence(self, scheme, algorithm):
         dataset = bibliographic_dataset(
             DatasetScale(size1=30, size2=60, num_duplicates=20), seed=11
         )
         resolver = self._stream(dataset, scheme, compact_every=25)
-        batch_algo = (
-            CardinalityNodePruning(2)
-            if algorithm == "CNP"
-            else RedefinedCardinalityNodePruning(2)
-        )
         streaming = resolver.candidate_pairs(algorithm)
-        batch = self._batch(resolver, scheme, batch_algo)
+        batch = self._batch(
+            resolver, scheme, self._batch_algorithm(algorithm)
+        )
         assert list(streaming.pairs) == list(batch.comparisons.pairs)
 
     @pytest.mark.parametrize("algorithm", ["CNP", "ReCNP"])
     def test_threads_backend_equivalence(self, algorithm):
-        """The parallel (threads) batch run agrees with the streaming export
-        after compaction — the delta is merged into plain CSR arrays, so the
-        chunked executor sees an ordinary index."""
+        """The parallel (threads) batch run agrees with the streaming
+        export, pair for pair, on the live delta index and again after
+        compaction."""
         from repro.core.execution import ExecutionConfig
-        from repro.core.pruning import (
-            CardinalityNodePruning,
-            RedefinedCardinalityNodePruning,
-        )
 
         dataset = bibliographic_dataset(
             DatasetScale(size1=30, size2=60, num_duplicates=20), seed=12
         )
         resolver = self._stream(dataset, "JS")
-        resolver.compact()
-        batch_algo = (
-            CardinalityNodePruning(2)
-            if algorithm == "CNP"
-            else RedefinedCardinalityNodePruning(2)
-        )
-        streaming = resolver.candidate_pairs(algorithm)
         batch = self._batch(
             resolver,
             "JS",
-            batch_algo,
+            self._batch_algorithm(algorithm),
             execution=ExecutionConfig(parallel=2),
         )
-        assert sorted(streaming.pairs) == sorted(batch.comparisons.pairs)
+        expected = list(batch.comparisons.pairs)
+        assert list(resolver.candidate_pairs(algorithm).pairs) == expected
+        resolver.compact()
+        assert list(resolver.candidate_pairs(algorithm).pairs) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -350,8 +342,8 @@ class TestBatchEquivalence:
         clean_clean=st.booleans(),
         steps=st.lists(_STEP, min_size=1, max_size=25),
     )
-    # |B| grows through a block in nobody's neighborhood: ECBS criteria
-    # cached by the first export must still be rebuilt.
+    # |B| grows through a block in nobody's neighborhood after an export:
+    # every ECBS weight moves, so the final exports must move with it.
     @example(
         scheme="ECBS",
         reciprocal=False,
@@ -365,8 +357,8 @@ class TestBatchEquivalence:
             ("add", (["t1"], 0)),
         ],
     )
-    # The size guard veils the only block of nodes the export cached: their
-    # entries must empty out, not keep the old neighbors.
+    # The size guard veils the only block of nodes an earlier export saw:
+    # the final exports must drop their old neighbors.
     @example(
         scheme="CBS",
         reciprocal=False,
@@ -382,7 +374,7 @@ class TestBatchEquivalence:
     def test_dirty_repruning_matches_full_recompute(
         self, scheme, reciprocal, max_block_size, clean_clean, steps
     ):
-        """Property: cached criteria never go stale unnoticed.
+        """Property: no answer depends on the reads made before it.
 
         A resolver takes a random token stream through a random mix of
         ``add``, ``add_batch`` and ``submit``, with ``query``, ``compact``
@@ -391,7 +383,7 @@ class TestBatchEquivalence:
         included, what a fresh resolver returns after replaying the same
         upserts, batch splits and compactions with no earlier export or
         query. The axes cover reciprocal probes, size-guard exclusions and
-        the ECBS ``|B|`` rule.
+        ECBS, whose weights all move when ``|B|`` grows.
         """
         config = dict(
             keys_for=list,  # profiles are plain token lists
@@ -611,11 +603,9 @@ class TestMicroBatching:
             seconds > 0 for seconds in resolver.phase_seconds.values()
         ), resolver.phase_seconds
 
-    def test_threads_refresh_matches_serial_export(self, monkeypatch):
-        import repro.incremental.resolver as resolver_module
+    def test_threads_export_matches_serial_export(self):
         from repro.core.execution import ExecutionConfig
 
-        monkeypatch.setattr(resolver_module, "NODE_CRITERIA_BATCH", 4)
         dataset = bibliographic_dataset(
             DatasetScale(size1=30, size2=60, num_duplicates=20), seed=21
         )
@@ -630,7 +620,7 @@ class TestMicroBatching:
             source = dataset.source_of(entity_id)
             serial.add(profile, source=source)
             threaded.submit(profile, source=source)
-        for algorithm in ("CNP", "WNP", "ReCNP", "ReWNP"):
+        for algorithm in EXPORT_ALGORITHMS:
             assert list(threaded.candidate_pairs(algorithm).pairs) == list(
                 serial.candidate_pairs(algorithm).pairs
             ), algorithm

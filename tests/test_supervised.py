@@ -67,6 +67,15 @@ class TestLogisticRegression:
         assert np.array_equal(single, batched)
         assert np.array_equal(model.predict_proba(X[3:5]), batched[3:5])
 
+    def test_memory_layout_does_not_change_bits(self):
+        X, y = self._separable_data()
+        fortran = np.asfortranarray(X)
+        model = LogisticRegressionClassifier().fit(X, y)
+        assert np.array_equal(model.predict_proba(fortran), model.predict_proba(X))
+        twin = LogisticRegressionClassifier().fit(fortran, y)
+        assert np.array_equal(twin.weights, model.weights)
+        assert twin.intercept == model.intercept
+
     def test_probabilities_in_range(self):
         X, y = self._separable_data()
         model = LogisticRegressionClassifier().fit(X, y)
