@@ -51,6 +51,10 @@ class AttributeClusteringBlocking(BlockingMethod):
     redundancy_positive = True
 
     def __init__(self, min_token_length: int = 1) -> None:
+        if min_token_length < 1:
+            raise ValueError(
+                f"min_token_length must be positive, got {min_token_length}"
+            )
         self.min_token_length = min_token_length
         self._clusters: dict[str, str] = {}
 

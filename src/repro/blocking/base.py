@@ -5,7 +5,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Hashable, Iterable
 
-from repro.datamodel.blocks import Block, BlockCollection
+from repro.datamodel.blocks import BlockCollection, csr_offsets, flatten_runs
 from repro.datamodel.dataset import CleanCleanERDataset, ERDataset
 from repro.datamodel.profiles import EntityProfile
 
@@ -51,21 +51,26 @@ def blocks_from_index(
 
     For Clean-Clean ER the ids are split by source collection into bilateral
     blocks; keys whose entities all come from one side are dropped. For
-    Dirty ER, keys with fewer than two entities are dropped.
+    Dirty ER, keys with fewer than two entities are dropped. Blocks come
+    sorted by key and keep each key's id order; the member arrays are
+    built in one pass over the whole index.
     """
-    blocks: list[Block] = []
+    keys = sorted(index, key=str)
+    indptr, members = flatten_runs([index[key] for key in keys])
+    names = [str(key) for key in keys]
     if isinstance(dataset, CleanCleanERDataset):
-        split = dataset.split
-        for key in sorted(index, key=str):
-            members = index[key]
-            side1 = [e for e in members if e < split]
-            side2 = [e for e in members if e >= split]
-            block = Block(str(key), side1, side2)
-            if block.is_valid:
-                blocks.append(block)
+        second = members >= dataset.split
+        indptr2 = csr_offsets(second)[indptr]
+        collection = BlockCollection.from_csr(
+            names,
+            dataset.num_entities,
+            indptr - indptr2,
+            members[~second],
+            indptr2,
+            members[second],
+        )
     else:
-        for key in sorted(index, key=str):
-            members = index[key]
-            if len(members) > 1:
-                blocks.append(Block(str(key), members))
-    return BlockCollection(blocks, dataset.num_entities)
+        collection = BlockCollection.from_csr(
+            names, dataset.num_entities, indptr, members
+        )
+    return collection.only_valid()

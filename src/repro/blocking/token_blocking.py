@@ -23,8 +23,9 @@ class TokenBlocking(BlockingMethod):
     Parameters
     ----------
     min_token_length:
-        Tokens shorter than this are ignored; 1 keeps everything. Raising it
-        to 2-3 drops noise like single letters from initials.
+        Tokens shorter than this are ignored; 1 (the minimum) keeps
+        everything. Raising it to 2-3 drops noise like single letters from
+        initials.
     stop_words:
         Optional tokens to exclude entirely (high-frequency tokens produce
         enormous, useless blocks; Block Purging handles these too, but
@@ -38,6 +39,10 @@ class TokenBlocking(BlockingMethod):
         min_token_length: int = 1,
         stop_words: Iterable[str] = (),
     ) -> None:
+        if min_token_length < 1:
+            raise ValueError(
+                f"min_token_length must be positive, got {min_token_length}"
+            )
         self.min_token_length = min_token_length
         self.stop_words = frozenset(word.lower() for word in stop_words)
 

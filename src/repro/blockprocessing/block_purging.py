@@ -12,6 +12,8 @@ who want a data-driven limit.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.datamodel.blocks import BlockCollection
 
 
@@ -51,22 +53,14 @@ class BlockPurging:
 
     def process(self, blocks: BlockCollection) -> BlockCollection:
         """Return a new collection without the oversized blocks."""
-        max_size = (
-            self.size_fraction * blocks.num_entities
-            if self.size_fraction is not None
-            else float("inf")
-        )
-        max_cardinality = (
-            automatic_cardinality_threshold(blocks, self.smoothing_factor)
-            if self.auto_cardinality
-            else float("inf")
-        )
-        retained = [
-            block
-            for block in blocks
-            if block.size <= max_size and block.cardinality <= max_cardinality
-        ]
-        return BlockCollection(retained, blocks.num_entities)
+        keep = np.ones(len(blocks), dtype=bool)
+        if self.size_fraction is not None:
+            keep &= blocks.block_sizes <= self.size_fraction * blocks.num_entities
+        if self.auto_cardinality:
+            keep &= blocks.block_cardinalities <= automatic_cardinality_threshold(
+                blocks, self.smoothing_factor
+            )
+        return blocks.take(np.flatnonzero(keep))
 
 
 def automatic_cardinality_threshold(
@@ -86,23 +80,25 @@ def automatic_cardinality_threshold(
     fails to keep pace. This mirrors the reference implementation
     (comparison-based Block Purging in the authors' published framework).
     """
-    if not blocks.blocks:
+    if not len(blocks):
         return 0
-    per_level: dict[int, tuple[int, int]] = {}
-    for block in blocks:
-        assignments, comparisons = per_level.get(block.cardinality, (0, 0))
-        per_level[block.cardinality] = (
-            assignments + block.size,
-            comparisons + block.cardinality,
-        )
-    levels = sorted(per_level)
+    # Per distinct cardinality level: its blocks' summed sizes and
+    # comparisons, from one sort of the cardinality array.
+    cardinalities = blocks.block_cardinalities
+    order = np.argsort(cardinalities)
+    ordered = cardinalities[order]
+    distinct, starts = np.unique(ordered, return_index=True)
+    levels = distinct.tolist()
+    level_assignments = np.add.reduceat(blocks.block_sizes[order], starts)
+    level_comparisons = np.add.reduceat(ordered, starts)
     threshold = levels[-1]
     cumulative_assignments = 0
     cumulative_comparisons = 0
     previous_assignments = 0
     previous_comparisons = 0
-    for level in levels:
-        assignments, comparisons = per_level[level]
+    for level, assignments, comparisons in zip(
+        levels, level_assignments.tolist(), level_comparisons.tolist()
+    ):
         cumulative_assignments += assignments
         cumulative_comparisons += comparisons
         if previous_comparisons and (

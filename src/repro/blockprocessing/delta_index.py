@@ -39,8 +39,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.blockprocessing.entity_index import EntityIndex, multi_range_gather
-from repro.datamodel.blocks import Block, BlockCollection
+from repro.blockprocessing.entity_index import EntityIndex
+from repro.datamodel.blocks import (
+    BlockCollection,
+    csr_offsets,
+    flatten_runs,
+    multi_range_gather,
+    run_positions,
+)
 from repro.datamodel.sinks import pid_alive
 
 EPOCH_PREFIX = "epoch-"
@@ -74,8 +80,9 @@ class DeltaEntityIndex:
         ``base`` is given (the base decides). Fixed for the index lifetime.
     keys:
         Optional blocking keys for the base's blocks (needed when the base
-        came from ``from_csr`` and carries no Block objects). Defaults to the base collection's keys, or synthesised
-        ``block-N`` placeholders.
+        came from ``from_csr`` and carries no block collection). Defaults
+        to the base collection's keys, or synthesised ``block-N``
+        placeholders.
     second_side:
         Entity ids to flag as second-side, *in addition to* what the
         base's ``second_side_mask`` records. Snapshot restore needs this:
@@ -108,7 +115,7 @@ class DeltaEntityIndex:
             if keys is not None:
                 base_keys = [str(key) for key in keys]
             elif base_blocks is not None:
-                base_keys = [block.key for block in base_blocks]
+                base_keys = list(base_blocks.keys)
             else:
                 base_keys = [f"block-{i}" for i in range(base.num_blocks)]
             if len(base_keys) != base.num_blocks:
@@ -167,9 +174,6 @@ class DeltaEntityIndex:
         # multi-entity gather; invalidated per block on append.
         self._delta_arrays1: dict[int, np.ndarray] = {}
         self._delta_arrays2: dict[int, np.ndarray] = {}
-        # The block of every delta membership, in append order; the first
-        # ``_delta_assignments`` slots are live.
-        self._delta_block_ids = _EMPTY_I64
         self._delta_assignments = 0
         # All assignments, base plus delta; compaction moves them, so it
         # leaves this total alone.
@@ -311,9 +315,9 @@ class DeltaEntityIndex:
             self._inverse = _grow(self._inverse, total_blocks)
             self._excluded = _grow(self._excluded, total_blocks)
 
-        start = cursor = self._delta_assignments
-        stop = start + sum(len(ids) for _, ids in normalized)
-        self._delta_block_ids = _grow(self._delta_block_ids, stop)
+        # The block of every assignment in this batch, in append order.
+        touched = np.empty(sum(len(ids) for _, ids in normalized), dtype=np.int64)
+        cursor = 0
         for entity, ids in normalized:
             side2 = self.is_bilateral and bool(self._second[entity])
             members = self._delta_members2 if side2 else self._delta_members1
@@ -325,14 +329,13 @@ class DeltaEntityIndex:
                 members.setdefault(block_id, []).append(entity)
                 arrays.pop(block_id, None)
             end = cursor + len(ids)
-            blocks = self._delta_block_ids[cursor:end]
+            blocks = touched[cursor:end]
             blocks[:] = ids
             # ``ids`` holds no repeats, so one fancy increment is exact.
             (self._sizes2 if side2 else self._sizes1)[blocks] += 1
             cursor = end
-        self._assignments += stop - start
-        self._delta_assignments = stop
-        touched = self._delta_block_ids[start:stop]
+        self._assignments += touched.size
+        self._delta_assignments += touched.size
         if touched.size:
             self._update_inverse_many(touched)
         self.epoch += 1
@@ -672,11 +675,7 @@ class DeltaEntityIndex:
         recovery anchor — see :mod:`repro.core.wal`) and ``fsync``
         makes the snapshot host-crash durable before this call returns.
         """
-        indptr1, members1 = self._merge_side(side2=False)
-        if self.is_bilateral:
-            indptr2, members2 = self._merge_side(side2=True)
-        else:
-            indptr2 = members2 = None
+        indptr1, members1, indptr2, members2 = self._merged_sides()
         fresh = EntityIndex.from_csr(
             num_entities=self._num_entities,
             is_bilateral=self.is_bilateral,
@@ -702,7 +701,6 @@ class DeltaEntityIndex:
         self._blocks_of_cache = {}
         self._delta_arrays1 = {}
         self._delta_arrays2 = {}
-        self._delta_block_ids = _EMPTY_I64
         self._delta_assignments = 0
         return fresh
 
@@ -714,15 +712,9 @@ class DeltaEntityIndex:
         ``compact()`` bit for bit. Excluded blocks are included (exclusion
         is a query-time veil, mirrored by batch Block Purging).
         """
-        blocks = []
-        for block_id, key in enumerate(self._keys):
-            entities1 = self._members(block_id, side2=False).tolist()
-            if self.is_bilateral:
-                entities2 = self._members(block_id, side2=True).tolist()
-                blocks.append(Block(key, entities1, entities2))
-            else:
-                blocks.append(Block(key, entities1))
-        return BlockCollection(blocks, num_entities=self._num_entities)
+        return BlockCollection.from_csr(
+            list(self._keys), self._num_entities, *self._merged_sides()
+        )
 
     # -- internals -----------------------------------------------------------
 
@@ -783,32 +775,39 @@ class DeltaEntityIndex:
         extra = np.asarray(appended, dtype=np.int64)
         return np.concatenate((run, extra)) if run.size else extra
 
+    def _merged_sides(self) -> tuple:
+        """``(indptr1, members1, indptr2, members2)`` of base plus delta;
+        the side-2 pair is ``None`` for a unilateral index."""
+        indptr1, members1 = self._merge_side(side2=False)
+        if not self.is_bilateral:
+            return indptr1, members1, None, None
+        return (indptr1, members1, *self._merge_side(side2=True))
+
     def _merge_side(self, *, side2: bool) -> tuple[np.ndarray, np.ndarray]:
+        """One side's merged CSR: per block, the base run, then the delta
+        appends in insertion order. The base runs move in one scatter and
+        the delta lists in another."""
         num_blocks = len(self._keys)
-        sizes = (self._sizes2 if side2 else self._sizes1)[:num_blocks]
-        indptr = np.zeros(num_blocks + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        base = self._base
-        delta = self._delta_members2 if side2 else self._delta_members1
+        indptr = csr_offsets((self._sizes2 if side2 else self._sizes1)[:num_blocks])
         merged = np.empty(int(indptr[-1]), dtype=np.int64)
+        base_sizes = np.zeros(num_blocks, dtype=np.int64)
+        base = self._base
         if base is not None:
             base_indptr = base.member_indptr2 if side2 else base.member_indptr1
-            base_members = base.members2 if side2 else base.members1
-            base_blocks = base.num_blocks
-        else:
-            base_blocks = 0
-        cursor = 0
-        for block_id in range(num_blocks):
-            if block_id < base_blocks:
-                run = base_members[
-                    base_indptr[block_id] : base_indptr[block_id + 1]
-                ]
-                merged[cursor : cursor + run.size] = run
-                cursor += run.size
-            appended = delta.get(block_id)
-            if appended:
-                merged[cursor : cursor + len(appended)] = appended
-                cursor += len(appended)
+            sizes = np.diff(base_indptr)
+            base_sizes[: sizes.size] = sizes
+            merged[run_positions(indptr[: sizes.size], sizes)] = (
+                base.members2 if side2 else base.members1
+            )
+        delta = self._delta_members2 if side2 else self._delta_members1
+        if delta:
+            blocks = np.fromiter(delta, dtype=np.int64, count=len(delta))
+            delta_indptr, appended = flatten_runs(list(delta.values()))
+            merged[
+                run_positions(
+                    indptr[blocks] + base_sizes[blocks], np.diff(delta_indptr)
+                )
+            ] = appended
         return indptr, merged
 
 

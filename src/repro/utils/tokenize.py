@@ -31,9 +31,13 @@ def tokenize(text: str, min_length: int = 1) -> list[str]:
     text:
         The raw attribute value.
     min_length:
-        Tokens shorter than this many characters are dropped. The default of
-        1 keeps everything non-empty.
+        Tokens shorter than this many characters are dropped; at least 1,
+        so the empty strings the split leaves around leading or trailing
+        separators never become tokens. The default of 1 keeps everything
+        non-empty.
     """
+    if min_length < 1:
+        raise ValueError(f"min_length must be positive, got {min_length}")
     if not text:
         return []
     return [
@@ -44,11 +48,14 @@ def tokenize(text: str, min_length: int = 1) -> list[str]:
 
 
 def attribute_value_tokens(values: Iterable[str], min_length: int = 1) -> set[str]:
-    """Return the set of distinct tokens across several attribute values."""
-    tokens: set[str] = set()
-    for value in values:
-        tokens.update(tokenize(value, min_length=min_length))
-    return tokens
+    """Return the set of distinct tokens across several attribute values.
+
+    The values are split once, joined by a space: the space is a separator,
+    so no token spans two values, and it stops ``str.lower``'s final-sigma
+    rule from looking across a value boundary. With ``min_length >= 1``
+    this equals the union of :func:`tokenize` over each value.
+    """
+    return set(tokenize(" ".join(values), min_length=min_length))
 
 
 def profile_tokens(profile: "EntityProfile", min_length: int = 1) -> set[str]:

@@ -94,6 +94,10 @@ class TestAttributeClusteringBlocking:
         )
         return CleanCleanERDataset(left, right, DuplicateSet([(0, 2)]))
 
+    def test_min_token_length_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            AttributeClusteringBlocking(min_token_length=0)
+
     def test_clusters_similar_attributes_across_sources(self):
         method = AttributeClusteringBlocking()
         blocks = method.build(self._clean_clean())

@@ -1,5 +1,7 @@
 """Unit tests for Token Blocking."""
 
+import pytest
+
 from repro.blocking import TokenBlocking
 from repro.datamodel.dataset import CleanCleanERDataset, DirtyERDataset
 from repro.datamodel.groundtruth import DuplicateSet
@@ -32,6 +34,12 @@ class TestTokenBlockingDirty:
     def test_min_token_length(self):
         blocks = TokenBlocking(min_token_length=3).build(_dirty("ab abc", "ab abc"))
         assert {block.key for block in blocks} == {"abc"}
+
+    def test_min_token_length_below_one_rejected(self):
+        # At 0 the empty string would become a key shared by every value
+        # that starts or ends with punctuation.
+        with pytest.raises(ValueError):
+            TokenBlocking(min_token_length=0)
 
     def test_stop_words_excluded(self):
         blocks = TokenBlocking(stop_words=["the"]).build(

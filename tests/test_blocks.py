@@ -1,5 +1,6 @@
 """Unit tests for blocks, block collections and comparison collections."""
 
+import numpy as np
 import pytest
 
 from repro.datamodel.blocks import Block, BlockCollection, ComparisonCollection
@@ -112,6 +113,61 @@ class TestBlockCollection:
         bilateral = BlockCollection([Block("a", (0,), (1,))], 2)
         assert not unilateral.is_bilateral
         assert bilateral.is_bilateral
+
+    def test_mixed_shapes_rejected(self):
+        # One collection has one shape; mixing them used to lose the
+        # bilateral block's comparisons downstream, in either block order.
+        unilateral, bilateral = Block("a", (0, 1)), Block("b", (2,), (3,))
+        for blocks in ([unilateral, bilateral], [bilateral, unilateral]):
+            with pytest.raises(ValueError, match="not both"):
+                BlockCollection(blocks, 4)
+
+    def test_csr_arrays(self):
+        collection = BlockCollection(
+            [Block("x", (3, 1), (5,)), Block("y", (), (4, 6))], num_entities=7
+        )
+        assert collection.keys == ["x", "y"]
+        assert collection.indptr1.tolist() == [0, 2, 2]
+        assert collection.members1.tolist() == [3, 1]
+        assert collection.indptr2.tolist() == [0, 1, 3]
+        assert collection.members2.tolist() == [5, 4, 6]
+        assert collection.block_sizes.tolist() == [3, 2]
+        assert collection.block_cardinalities.tolist() == [2, 0]
+
+    def test_from_csr_builds_the_block_view(self):
+        collection = BlockCollection.from_csr(
+            ["k", "j"],
+            4,
+            np.array([0, 2, 4]),
+            np.array([0, 1, 3, 2]),
+        )
+        assert list(collection) == [Block("k", (0, 1)), Block("j", (3, 2))]
+        assert collection[1].key == "j"
+
+    def test_empty_collection_is_unilateral(self):
+        empty = BlockCollection.from_csr(
+            [], 3, np.zeros(1), np.empty(0), np.zeros(1), np.empty(0)
+        )
+        assert not empty.is_bilateral
+        assert len(empty) == 0 and empty.cardinality == 0
+
+    def test_sorted_by_cardinality_breaks_ties_by_key_then_input_order(self):
+        collection = BlockCollection(
+            [
+                Block("b", (0, 1), (7,)),
+                Block("a", (2,), (8,)),
+                Block("b", (3,), (9,)),
+                Block("a", (4, 5), (8,)),
+            ],
+            num_entities=10,
+        )
+        ordered = collection.sorted_by_cardinality()
+        assert [(block.key, block.entities1) for block in ordered] == [
+            ("a", (2,)),
+            ("b", (3,)),
+            ("a", (4, 5)),
+            ("b", (0, 1)),
+        ]
 
 
 class TestComparisonCollection:

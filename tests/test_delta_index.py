@@ -169,6 +169,22 @@ def replay(
     return index
 
 
+def script_reference(
+    script: "list[tuple[list[int], bool]]", bilateral: bool
+) -> EntityIndex:
+    """The one-shot batch build over the collection a script describes,
+    from plain per-block member lists (no delta-index code involved)."""
+    sides = [([], []) for _ in range(4)]
+    for entity, (choices, second_side) in enumerate(script):
+        for block in sorted({choice % 4 for choice in choices}):
+            sides[block][int(bilateral and second_side)].append(entity)
+    blocks = [
+        Block(f"block-{i}", side1, side2 if bilateral else None)
+        for i, (side1, side2) in enumerate(sides)
+    ]
+    return EntityIndex(BlockCollection(blocks, len(script)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     script=st.lists(upsert, min_size=1, max_size=10),
@@ -183,8 +199,10 @@ def test_compaction_bit_identical_to_batch_build(
     """Any upsert/compact interleaving compacts to the exact CSR arrays of
     a one-shot ``EntityIndex.from_blocks`` over the equivalent collection."""
     index = replay(script, bilateral, compact_at)
+    reference = script_reference(script, bilateral)
+    assert_csr_identical(EntityIndex(index.to_block_collection()), reference)
     compacted = index.compact()
-    assert_csr_identical(compacted, build_reference(index))
+    assert_csr_identical(compacted, reference)
     assert_delta_fraction_exact(index)
 
 
@@ -197,7 +215,7 @@ def test_read_through_equals_batch_before_compaction(script, bilateral):
     """The delta view answers queries identically to the batch index *without*
     compacting first."""
     index = replay(script, bilateral, compact_points=set())
-    reference = build_reference(index)
+    reference = script_reference(script, bilateral)
     assert_delta_fraction_exact(index)
     np.testing.assert_array_equal(index.block_counts, reference.block_counts)
     np.testing.assert_array_equal(

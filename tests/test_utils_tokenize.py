@@ -1,6 +1,8 @@
 """Unit tests for the schema-agnostic tokenizer."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.datamodel.profiles import EntityProfile
 from repro.utils.tokenize import (
@@ -44,6 +46,15 @@ class TestTokenize:
     def test_repeated_tokens_preserved(self):
         assert tokenize("la la land") == ["la", "la", "land"]
 
+    def test_edge_separators_leave_no_empty_token(self):
+        assert tokenize("-a b-") == ["a", "b"]
+
+    def test_min_length_below_one_rejected(self):
+        # A minimum of 0 would keep the empty strings the split leaves
+        # around leading and trailing separators.
+        with pytest.raises(ValueError):
+            tokenize("-a b-", 0)
+
 
 class TestAttributeValueTokens:
     def test_union_over_values(self):
@@ -52,6 +63,26 @@ class TestAttributeValueTokens:
 
     def test_empty_iterable(self):
         assert attribute_value_tokens([]) == set()
+
+    def test_final_sigma_stays_within_its_value(self):
+        # Lowercasing picks the final form of a capital sigma that ends a
+        # word; joining must not change which form each value gets.
+        values = ["ΟΔΟΣ", "ΣΟΦΙΑ", "ΑΣ'", "'Σ"]
+        expected = set().union(*(tokenize(value) for value in values))
+        assert attribute_value_tokens(values) == expected
+        assert "οδος" in expected and "σοφια" in expected
+
+    @given(
+        values=st.lists(
+            st.text(alphabet="aZ9_- .,'ΣσςΑİß\u0301", max_size=8), max_size=5
+        ),
+        min_length=st.integers(min_value=1, max_value=3),
+    )
+    def test_one_split_equals_union_of_splits(self, values, min_length):
+        expected: set[str] = set()
+        for value in values:
+            expected.update(tokenize(value, min_length=min_length))
+        assert attribute_value_tokens(values, min_length=min_length) == expected
 
 
 class TestProfileTokens:
