@@ -9,7 +9,9 @@ server-side buffering — is what amortises the round trip). Every tenth
 request is a top-k ``query``. Each leg runs once for CBS and once for JS
 and asserts the daemon's candidate output — per upsert and for the final
 ``candidate_pairs("CNP")`` export — is bit-identical to an in-process
-:class:`IncrementalMetaBlocking` fed the same sequence.
+:class:`IncrementalMetaBlocking` fed the same sequence. The timer covers
+the daemon's requests only: the replies are kept and the mirror replays
+the sequence after it.
 
 Records requests/s, upserts/s, and the server-reported p50/p99 upsert
 latency per leg into ``benchmarks/results/serve.json``. At full scale
@@ -80,57 +82,66 @@ def _resolver(scheme: str, **kwargs) -> IncrementalMetaBlocking:
 
 
 def _run_leg(scheme, coalescing, dataset, profiles, socket_path):
-    """One daemon boot: replay the stream, mirror it in-process, compare."""
-    mirror = _resolver(scheme)
+    """One daemon boot: replay the stream under the timer, keeping every
+    reply; then feed an in-process mirror the same sequence, untimed, and
+    compare."""
     server = ResolverServer(
         _resolver(scheme),
         path=socket_path,
         flush_size=coalescing,
         flush_interval=0.01,
     )
-    requests = 0
+    sources = [dataset.source_of(entity_id) for entity_id, _ in profiles]
+    # upsert_many chunks as (start, stop); stop - 1 is the chunk's last id.
+    chunks = [
+        (start, min(start + coalescing, len(profiles)))
+        for start in range(0, len(profiles), coalescing)
+    ]
+    replies: list = []
     with BackgroundServer(server) as background:
         with ResolverClient(background.address, timeout=120) as client:
             with Timer() as timer:
                 if coalescing == 1:
-                    for position, (entity_id, profile) in enumerate(profiles):
-                        source = dataset.source_of(entity_id)
-                        got_id, candidates = client.upsert(
-                            profile, source=source
+                    for position, (_, profile) in enumerate(profiles):
+                        replies.append(
+                            client.upsert(profile, source=sources[position])
                         )
-                        requests += 1
-                        assert got_id == position
-                        assert candidates == mirror.add(profile, source=source)
                         if position % 10 == 9:
                             target = (position * 13) % (position + 1)
-                            assert client.query(target) == mirror.query(target)
-                            requests += 1
+                            replies.append(client.query(target))
                 else:
-                    for start in range(0, len(profiles), coalescing):
-                        chunk = profiles[start : start + coalescing]
-                        batch = [profile for _, profile in chunk]
-                        sources = [
-                            dataset.source_of(entity_id)
-                            for entity_id, _ in chunk
-                        ]
-                        entity_ids, lists = client.upsert_many(
-                            batch, sources=sources
+                    for start, stop in chunks:
+                        batch = [profile for _, profile in profiles[start:stop]]
+                        replies.append(
+                            client.upsert_many(batch, sources=sources[start:stop])
                         )
-                        requests += 1
-                        assert entity_ids == list(
-                            range(start, start + len(batch))
-                        )
-                        assert lists == mirror.add_batch(batch, sources=sources)
-                        target = (start * 13) % (start + len(batch))
-                        assert client.query(target) == mirror.query(target)
-                        requests += 1
-            # The daemon's full pruned graph is bit-identical too.
-            assert client.candidate_pairs("CNP") == [
-                tuple(pair) for pair in mirror.candidate_pairs("CNP")
-            ]
+                        replies.append(client.query((start * 13) % stop))
+            exported = client.candidate_pairs("CNP")
             stats = client.stats()
             client.shutdown()
-    return requests, timer.elapsed, stats
+
+    # Every reply, and the full pruned graph, is bit-identical to the mirror.
+    mirror = _resolver(scheme)
+    expected: list = []
+    if coalescing == 1:
+        for position, (_, profile) in enumerate(profiles):
+            expected.append(
+                (position, mirror.add(profile, source=sources[position]))
+            )
+            if position % 10 == 9:
+                target = (position * 13) % (position + 1)
+                expected.append(mirror.query(target))
+    else:
+        for start, stop in chunks:
+            batch = [profile for _, profile in profiles[start:stop]]
+            expected.append((
+                list(range(start, stop)),
+                mirror.add_batch(batch, sources=sources[start:stop]),
+            ))
+            expected.append(mirror.query((start * 13) % stop))
+    assert replies == expected
+    assert exported == [tuple(pair) for pair in mirror.candidate_pairs("CNP")]
+    return len(replies), timer.elapsed, stats
 
 
 @pytest.mark.parametrize("scheme", ["CBS", "JS"])

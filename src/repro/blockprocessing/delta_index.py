@@ -25,9 +25,12 @@ insert. :class:`DeltaEntityIndex` provides that:
 Every mutation bumps :attr:`epoch`; epoch-aware consumers (the weighting
 backends) compare it against their cached value and refresh stale memos.
 
-The parallel executor reads the index through the same view, so it prunes
-a weighting over the live delta index as a serial run does, with no
-compaction first.
+With no delta assignment (after :meth:`~DeltaEntityIndex.compact`, or on
+the copy :meth:`~DeltaEntityIndex.merged` returns) the bulk reads
+``cooccurrence_arrays_multi`` and ``cooccurrence_lengths`` gather from the
+base CSR in one pass, as :class:`EntityIndex` does. A whole-graph pruning
+run, serial or on the executor's threads, reads such a merged copy, so it
+touches no per-block append list; single-node reads keep the live view.
 """
 
 from __future__ import annotations
@@ -39,7 +42,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.blockprocessing.entity_index import EntityIndex
+from repro.blockprocessing.entity_index import (
+    EntityIndex,
+    _csr_cooccurrence_arrays_multi,
+    _csr_cooccurrence_lengths,
+)
 from repro.datamodel.blocks import (
     BlockCollection,
     csr_offsets,
@@ -507,8 +514,18 @@ class DeltaEntityIndex:
 
     def cooccurrence_lengths(self, entities: np.ndarray) -> np.ndarray:
         """See :meth:`EntityIndex.cooccurrence_lengths` (live block sizes,
-        excluded blocks contribute nothing)."""
+        excluded blocks contribute nothing). With no delta assignment the
+        lengths come from the base CSR in one pass."""
         entities = np.ascontiguousarray(entities, dtype=np.int64)
+        base = self._base
+        if base is not None and not self._delta_assignments:
+            # Ids registered since the last compaction have no block.
+            known = entities < base.num_entities
+            lengths = np.zeros(entities.size, dtype=np.int64)
+            lengths[known] = _csr_cooccurrence_lengths(
+                base, self._base_exclusions()
+            )[entities[known]]
+            return lengths
         runs = [self.block_slice(entity) for entity in entities.tolist()]
         lengths = np.fromiter(
             (run.size for run in runs), dtype=np.int64, count=entities.size
@@ -543,10 +560,22 @@ class DeltaEntityIndex:
         block position). The whole batch costs one multi-range gather per
         member side plus one gather over a mini-CSR of the touched delta
         lists, instead of per-entity Python overlay loops — the gather half
-        of the micro-batched upsert path.
+        of the micro-batched upsert path. With no delta assignment (a
+        compacted or :meth:`merged` index) it is the batch gather over the
+        base CSR, with the exclusion mask applied.
         """
         entities = np.ascontiguousarray(entities, dtype=np.int64)
         n = int(entities.size)
+        base = self._base
+        if base is not None and not self._delta_assignments:
+            # Ids registered since the last compaction get empty segments.
+            known = entities < base.num_entities
+            ids, blocks, offsets = _csr_cooccurrence_arrays_multi(
+                base, entities[known], self._base_exclusions()
+            )
+            lengths = np.zeros(n, dtype=np.int64)
+            lengths[known] = np.diff(offsets)
+            return ids, blocks, csr_offsets(lengths)
         offsets = np.zeros(n + 1, dtype=np.int64)
         if n == 0:
             return _EMPTY_I64, _EMPTY_I64, offsets
@@ -675,15 +704,7 @@ class DeltaEntityIndex:
         recovery anchor — see :mod:`repro.core.wal`) and ``fsync``
         makes the snapshot host-crash durable before this call returns.
         """
-        indptr1, members1, indptr2, members2 = self._merged_sides()
-        fresh = EntityIndex.from_csr(
-            num_entities=self._num_entities,
-            is_bilateral=self.is_bilateral,
-            member_indptr1=indptr1,
-            members1=members1,
-            member_indptr2=indptr2,
-            members2=members2,
-        )
+        fresh = self._merged_base()
         self.epoch += 1
         if persist_dir is not None:
             save_epoch(
@@ -703,6 +724,21 @@ class DeltaEntityIndex:
         self._delta_arrays2 = {}
         self._delta_assignments = 0
         return fresh
+
+    def merged(self) -> "DeltaEntityIndex":
+        """A compacted copy: the same collection over one fresh base CSR.
+
+        The copy's base is the CSR :meth:`compact` builds; it carries this
+        index's keys, exclusions and side flags (as a restored snapshot
+        does) and an empty delta, so its bulk gathers read the base CSR
+        alone. This index is left as it was: same epoch, same delta.
+        """
+        return DeltaEntityIndex(
+            self._merged_base(),
+            keys=self._keys,
+            second_side=self.second_side_entities(),
+            excluded=self.excluded_blocks(),
+        )
 
     def to_block_collection(self) -> BlockCollection:
         """Materialise the current state as a plain :class:`BlockCollection`.
@@ -774,6 +810,24 @@ class DeltaEntityIndex:
             return run
         extra = np.asarray(appended, dtype=np.int64)
         return np.concatenate((run, extra)) if run.size else extra
+
+    def _base_exclusions(self) -> "np.ndarray | None":
+        """The exclusion flags of the base's blocks, ``None`` if none is set."""
+        if not self._has_exclusions:
+            return None
+        return self._excluded[: self._base.num_blocks]
+
+    def _merged_base(self) -> EntityIndex:
+        """Base plus delta as one fresh CSR index (:meth:`compact`'s)."""
+        indptr1, members1, indptr2, members2 = self._merged_sides()
+        return EntityIndex.from_csr(
+            num_entities=self._num_entities,
+            is_bilateral=self.is_bilateral,
+            member_indptr1=indptr1,
+            members1=members1,
+            member_indptr2=indptr2,
+            members2=members2,
+        )
 
     def _merged_sides(self) -> tuple:
         """``(indptr1, members1, indptr2, members2)`` of base plus delta;

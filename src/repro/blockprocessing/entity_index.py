@@ -31,32 +31,36 @@ import numpy as np
 from repro.datamodel.blocks import BlockCollection, multi_range_gather
 
 
-def _csr_cooccurrence_lengths(index) -> np.ndarray:
+def _csr_cooccurrence_lengths(
+    index, excluded: "np.ndarray | None" = None
+) -> np.ndarray:
     """``cooccurrence_arrays`` length of every entity, from the CSR arrays.
 
     One block-size gather per member side, reduced per entity run, so the
-    peak working set is a single array over the block assignments.
+    peak working set is a single array over the block assignments. A block
+    flagged in the boolean ``excluded`` mask adds nothing.
     """
     indptr = index.indptr
     placed = indptr[1:] > indptr[:-1]
     starts = indptr[:-1][placed]
 
-    def gathered(member_indptr: np.ndarray) -> np.ndarray:
+    def gathered(sizes: np.ndarray) -> np.ndarray:
+        if excluded is not None:
+            sizes = np.where(excluded, 0, sizes)
         totals = np.zeros(placed.size, dtype=np.int64)
         if starts.size:
-            sizes = np.diff(member_indptr)[index.block_indices]
-            totals[placed] = np.add.reduceat(sizes, starts)
+            totals[placed] = np.add.reduceat(sizes[index.block_indices], starts)
         return totals
 
     if index.is_bilateral:
         # Second-side entities gather side-1 members and vice versa.
         return np.where(
             np.asarray(index.second_side_mask, dtype=bool),
-            gathered(index.member_indptr1),
-            gathered(index.member_indptr2),
+            gathered(np.diff(index.member_indptr1)),
+            gathered(np.diff(index.member_indptr2)),
         )
-    # A unilateral entity's own membership is dropped from each run.
-    return gathered(index.member_indptr1) - index.block_counts
+    # A unilateral entity's own membership is dropped from each block.
+    return gathered(np.diff(index.member_indptr1) - 1)
 
 
 def _csr_cooccurrence_arrays(
@@ -76,13 +80,14 @@ def _csr_cooccurrence_arrays(
 
 
 def _csr_cooccurrence_arrays_multi(
-    index, entities: np.ndarray
+    index, entities: np.ndarray, excluded: "np.ndarray | None" = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Segmented ``cooccurrence_arrays`` over several entities at once.
 
     Returns ``(ids, block_positions, offsets)``: segment ``i`` reproduces
     ``cooccurrence_arrays(entities[i])`` element for element. One
-    multi-range gather per member side serves the whole batch.
+    multi-range gather per member side serves the whole batch. Blocks
+    flagged in the boolean ``excluded`` mask are skipped.
     """
     entities = np.ascontiguousarray(entities, dtype=np.int64)
     n = int(entities.size)
@@ -97,6 +102,18 @@ def _csr_cooccurrence_arrays_multi(
         return empty, empty, offsets
     lengths = indptr[entities + 1] - indptr[entities]
     owners = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    # Per element: is its owner a second-side entity (bilateral only)?
+    second = (
+        np.repeat(
+            np.asarray(index.second_side_mask, dtype=bool)[entities], lengths
+        )
+        if index.is_bilateral
+        else None
+    )
+    if excluded is not None:
+        keep = ~excluded[positions]
+        positions, owners = positions[keep], owners[keep]
+        second = None if second is None else second[keep]
 
     def gather(mask, member_indptr, members):
         group_positions = positions if mask is None else positions[mask]
@@ -109,11 +126,8 @@ def _csr_cooccurrence_arrays_multi(
         )
         return ids, blocks, np.repeat(group_owners, run_lengths)
 
-    if index.is_bilateral:
+    if second is not None:
         # Second-side entities gather side-1 members and vice versa.
-        second = np.repeat(
-            np.asarray(index.second_side_mask, dtype=bool)[entities], lengths
-        )
         pieces = [
             gather(second, index.member_indptr1, index.members1),
             gather(~second, index.member_indptr2, index.members2),

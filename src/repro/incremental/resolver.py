@@ -24,11 +24,12 @@ layer over the exact batch machinery, running on a mutable
 * pruning is node-centric on the *new* node at insert time (its top-``k``
   weighted neighbours, CNP-style, optionally validated by the reciprocal
   test), and :meth:`IncrementalMetaBlocking.candidate_pairs` exports the
-  full pruned graph by running the batch pruning algorithm on the live
-  delta-index weighting — serially or on the executor's thread pool, as
+  full pruned graph by running the batch pruning algorithm on a weighting
+  over :meth:`DeltaEntityIndex.merged`, a compacted copy of the index
+  built for that export — serially or on the executor's thread pool, as
   the resolver's :class:`~repro.core.execution.ExecutionConfig` asks. No
-  per-node criteria are kept between calls, so an upsert pays for its own
-  neighborhood only.
+  per-node criteria and no copy are kept between calls, so an upsert pays
+  for its own neighborhood only.
 
 Weights use the paper's schemes over the *current* state, so early weights
 drift as the collection grows — the standard incremental-ER trade-off. EJS
@@ -604,14 +605,20 @@ class IncrementalMetaBlocking:
     def candidate_pairs(self, algorithm: str = "CNP") -> ComparisonView:
         """Node-centric pruning over the *whole* current collection.
 
-        Runs the batch algorithm on the live delta-index weighting — with
-        the resolver's ``k`` for the cardinality families (``CNP``,
-        ``ReCNP``, ``RcCNP``) — serially, or on the executor's thread pool
-        with the workers ``ExecutionConfig.parallel`` asks for. The result
-        matches the batch algorithm run on :meth:`to_block_collection`
-        with the same explicit ``k`` (exactly for the integer-statistic
-        schemes CBS/JS; ARCS sums can differ in the last float bit when
-        block orders differ).
+        Runs the batch algorithm — with the resolver's ``k`` for the
+        cardinality families (``CNP``, ``ReCNP``, ``RcCNP``) — serially, or
+        on the executor's thread pool with the workers
+        ``ExecutionConfig.parallel`` asks for, on a weighting over
+        :meth:`DeltaEntityIndex.merged`: a compacted copy of the index,
+        built for this call and dropped after it, so the pass gathers from
+        one CSR. The live index is not compacted. An entity gets all its
+        blocks in the upsert that creates it, so every pair meets its
+        shared blocks in ascending order on the copy and on the live index
+        alike, and the result equals the batch algorithm on the live
+        weighting bit for bit. It matches the batch algorithm run on
+        :meth:`to_block_collection` with the same explicit ``k`` (exactly
+        for the integer-statistic schemes CBS/JS; ARCS sums can differ in
+        the last float bit when block orders differ).
         """
         if algorithm not in EXPORT_ALGORITHMS:
             known = ", ".join(EXPORT_ALGORITHMS)
@@ -625,7 +632,9 @@ class IncrementalMetaBlocking:
         )
         parallel = None if self.execution is None else self.execution.parallel
         return parallel_prune(
-            self._weighting,
+            VectorizedEdgeWeighting._from_shared_index(
+                self.index.merged(), self.scheme
+            ),
             pruning,
             workers=1 if parallel is None else parallel,
         )
