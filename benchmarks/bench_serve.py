@@ -24,14 +24,18 @@ The durability sweep (:func:`test_serve_durability_overhead`) re-runs the
 CBS ingest with a write-ahead log attached under each fsync policy
 (``off``/``batch``/``always``) at coalescing 64 and 256, measures the
 post-shutdown recovery time of the logged stream, and records the
-per-policy throughput next to the non-durable baseline. Full scale gates
-the price of group commit: the ``batch`` policy at coalescing 256 must
-hold at least :data:`MIN_DURABLE_FRACTION` of the baseline's upsert
-throughput.
+per-policy throughput next to the non-durable baseline. Every round runs
+each (policy, coalescing) leg once, so the legs interleave and share the
+host's slow and fast spells; each leg records its median over
+:data:`DURABILITY_ROUNDS` rounds with the q1–q3 spread of its upserts/s.
+Full scale gates the price of group commit on those medians: the
+``batch`` policy at coalescing 256 must hold at least
+:data:`MIN_DURABLE_FRACTION` of the baseline's upsert throughput.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from benchmarks._recorder import RECORDER
@@ -54,6 +58,8 @@ MIN_REQUESTS = 1_000
 #: Durability sweep: fsync policies (None = no WAL) x coalescing sizes.
 DURABILITY_POLICIES = (None, "off", "batch", "always")
 DURABILITY_COALESCING = (64, 256)
+#: Interleaved rounds per durability leg; each leg records its median.
+DURABILITY_ROUNDS = 3
 #: Full-scale floor on fsync=batch throughput vs the non-durable baseline.
 MIN_DURABLE_FRACTION = 0.7
 
@@ -230,33 +236,44 @@ def _run_durable_leg(coalescing, policy, dataset, profiles, socket_path, wal_dir
 def test_serve_durability_overhead(benchmark, tmp_path):
     dataset = _dataset()
     profiles = list(dataset.iter_profiles())
-    legs: dict = {}
+    legs: dict = {
+        (coalescing, policy): {"elapsed": [], "stats": [], "recovery_s": []}
+        for coalescing in DURABILITY_COALESCING
+        for policy in DURABILITY_POLICIES
+    }
 
     def run_all():
-        for coalescing in DURABILITY_COALESCING:
-            for policy in DURABILITY_POLICIES:
-                label = policy or "none"
+        for round_index in range(DURABILITY_ROUNDS):
+            for (coalescing, policy), leg in legs.items():
+                label = f"{coalescing}-{policy or 'none'}-{round_index}"
                 elapsed, stats, recovery_seconds = _run_durable_leg(
                     coalescing,
                     policy,
                     dataset,
                     profiles,
-                    tmp_path / f"durable-{coalescing}-{label}.sock",
-                    tmp_path / f"wal-{coalescing}-{label}",
+                    tmp_path / f"durable-{label}.sock",
+                    tmp_path / f"wal-{label}",
                 )
-                legs[(coalescing, policy)] = {
-                    "elapsed": elapsed,
-                    "stats": stats,
-                    "recovery_s": recovery_seconds,
-                }
+                leg["elapsed"].append(elapsed)
+                leg["stats"].append(stats)
+                if recovery_seconds is not None:
+                    leg["recovery_s"].append(recovery_seconds)
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     upserts = len(profiles)
+
+    def rate(elapsed: float) -> float:
+        return upserts / max(elapsed, 1e-9)
+
+    medians = {}
     for (coalescing, policy), leg in legs.items():
-        elapsed = max(leg["elapsed"], 1e-9)
-        wal_stats = (leg["stats"] or {}).get("wal") or {}
-        fsync_ms = wal_stats.get("fsync_ms") or {}
+        medians[(coalescing, policy)] = rate(float(np.median(leg["elapsed"])))
+        wal_stats = [(stats or {}).get("wal") or {} for stats in leg["stats"]]
+        fsync_p99 = [
+            (wal.get("fsync_ms") or {}).get("p99", 0.0) for wal in wal_stats
+        ]
+        q1, q3 = np.percentile([rate(e) for e in leg["elapsed"]], [25, 75])
         RECORDER.record(
             "serve",
             {
@@ -264,18 +281,21 @@ def test_serve_durability_overhead(benchmark, tmp_path):
                 "scheme": "CBS",
                 "coalescing": coalescing,
                 "fsync": policy or "none",
-                "upserts/s": round(upserts / elapsed, 1),
-                "fsyncs": wal_stats.get("fsyncs", 0),
-                "fsync_p99_ms": fsync_ms.get("p99", 0.0),
+                "upserts/s": round(medians[(coalescing, policy)], 1),
+                "q1-q3": [round(float(q1), 1), round(float(q3), 1)],
+                "fsyncs": int(
+                    np.median([wal.get("fsyncs", 0) for wal in wal_stats])
+                ),
+                "fsync_p99_ms": round(float(np.median(fsync_p99)), 3),
                 "recovery_s": (
-                    None
-                    if leg["recovery_s"] is None
-                    else round(leg["recovery_s"], 3)
+                    round(float(np.median(leg["recovery_s"])), 3)
+                    if leg["recovery_s"]
+                    else None
                 ),
             },
         )
 
     if bench_scale() >= 1.0:
-        baseline = upserts / max(legs[(256, None)]["elapsed"], 1e-9)
-        durable = upserts / max(legs[(256, "batch")]["elapsed"], 1e-9)
+        baseline = medians[(256, None)]
+        durable = medians[(256, "batch")]
         assert durable >= MIN_DURABLE_FRACTION * baseline, (durable, baseline)

@@ -3,7 +3,8 @@
 These are the judges of the differential tests: each one follows the
 pseudo-code in PAPER.md line by line and shares no code with the package
 (it imports nothing from ``repro``). A block is a ``(key, side1, side2)``
-tuple of lists, ``side2`` being ``None`` for a unilateral (Dirty ER) block.
+tuple of lists, ``side2`` being ``None`` for a unilateral (Dirty ER) block;
+the streaming judge keeps its blocks as key → member lists.
 """
 
 from __future__ import annotations
@@ -51,3 +52,94 @@ def block_filtering(blocks, ratio: float) -> list:
         if cardinality(block) > 0:
             filtered.append(block)
     return filtered
+
+
+class StreamingResolver:
+    """The streaming upsert, one profile at a time, for CBS and JS.
+
+    ``blocks`` maps a key to its members in insertion order, both sources
+    together; ``keys_of[i]`` is ``B_i``, the keys entity ``i`` joined. A
+    block grown past ``max_block_size`` is veiled: it keeps its members,
+    and so its size and everyone's ``|B_i|``, but yields no co-occurrence.
+    Under Clean-Clean ER only entities of different sources co-occur.
+    """
+
+    def __init__(
+        self,
+        scheme: str,
+        k: int,
+        ratio: float,
+        max_block_size: "int | None" = None,
+        reciprocal: bool = False,
+        clean_clean: bool = False,
+    ) -> None:
+        self.scheme = scheme
+        self.k = k
+        self.ratio = ratio
+        self.max_block_size = max_block_size
+        self.reciprocal = reciprocal
+        self.clean_clean = clean_clean
+        self.blocks: dict[str, list[int]] = {}
+        self.veiled: set[str] = set()
+        self.keys_of: list[list[str]] = []
+        self.sources: list[int] = []
+
+    def add(self, tokens, source: int = 0) -> list:
+        """Insert one profile; its ``(id, weight, |B_ij|)`` candidates.
+
+        Block Filtering at insertion: fresh keys are always kept; of the
+        keys that already have a block, only the ``max(1, round(r · n))``
+        smallest current blocks (ties by key) are joined. Blocks past the
+        size guard are veiled after the join. The new entity's top-``k``
+        neighbours (ties to the larger id) are candidates; the reciprocal
+        test keeps only those whose own top-``k``, on the state after this
+        insertion, holds the new entity. Candidates come by descending
+        weight, ties by ascending id.
+        """
+        keys = sorted(set(tokens))
+        fresh = [key for key in keys if key not in self.blocks]
+        existing = sorted(
+            (key for key in keys if key in self.blocks),
+            key=lambda key: (len(self.blocks[key]), key),
+        )
+        limit = max(1, int(self.ratio * len(existing) + 0.5))
+        entity = len(self.keys_of)
+        self.keys_of.append(fresh + existing[:limit])
+        self.sources.append(source if self.clean_clean else 0)
+        for key in self.keys_of[entity]:
+            members = self.blocks.setdefault(key, [])
+            members.append(entity)
+            guard = self.max_block_size
+            if guard is not None and len(members) > guard:
+                self.veiled.add(key)
+        candidates = [
+            row
+            for row in self.top_k(entity)
+            if not self.reciprocal
+            or entity in [other for other, _, _ in self.top_k(row[0])]
+        ]
+        return sorted(candidates, key=lambda row: (-row[1], row[0]))
+
+    def top_k(self, entity: int) -> list:
+        """The ``k`` heaviest ``(id, weight, |B_ij|)`` neighbours of
+        ``entity`` now, ties to the larger id."""
+        common: dict[int, int] = {}
+        for key in self.keys_of[entity]:
+            if key in self.veiled:
+                continue
+            for other in self.blocks[key]:
+                if other != entity and (
+                    not self.clean_clean
+                    or self.sources[other] != self.sources[entity]
+                ):
+                    common[other] = common.get(other, 0) + 1
+        rows = []
+        for other, shared in common.items():
+            if self.scheme == "CBS":
+                weight = float(shared)
+            else:
+                union = len(self.keys_of[entity]) + len(self.keys_of[other])
+                weight = shared / (union - shared)
+            rows.append((other, weight, shared))
+        rows.sort(key=lambda row: (row[1], row[0]), reverse=True)
+        return rows[: self.k]

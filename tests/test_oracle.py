@@ -1,15 +1,17 @@
 """Differential tests: the package against the plain transcriptions in
-``tests/oracle.py``, over random block collections."""
+``tests/oracle.py``, over random block collections and upsert streams."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blockprocessing.entity_index import EntityIndex
 from repro.core.block_filtering import BlockFiltering
 from repro.datamodel.blocks import Block, BlockCollection
+from repro.incremental import IncrementalMetaBlocking
 from tests import oracle
 
 ENTITY_INDEX_ARRAYS = (
@@ -107,3 +109,79 @@ def test_block_list_round_trip_keeps_the_arrays(blocks, ratio):
         ours, theirs = getattr(index, name), getattr(from_csr, name)
         assert ours.dtype == theirs.dtype
         assert np.array_equal(ours, theirs), name
+
+
+@st.composite
+def upsert_streams(draw):
+    """Dirty or Clean-Clean token streams and a resolver configuration;
+    a small vocabulary makes blocks shared, filtered and veiled."""
+    clean_clean = draw(st.booleans())
+    vocabulary = st.sampled_from([f"t{i}" for i in range(8)])
+    profiles = draw(
+        st.lists(st.lists(vocabulary, max_size=5), min_size=1, max_size=24)
+    )
+    sources = [draw(st.integers(0, 1)) if clean_clean else 0 for _ in profiles]
+    config = {
+        "scheme": draw(st.sampled_from(["CBS", "JS"])),
+        "k": draw(st.integers(1, 3)),
+        "reciprocal": draw(st.booleans()),
+        "filtering_ratio": draw(st.sampled_from([0.3, 0.5, 0.6, 0.8, 1.0])),
+        "max_block_size": draw(st.sampled_from([None, 2, 3, 4])),
+        "clean_clean": clean_clean,
+    }
+    return profiles, sources, config
+
+
+def _rows(candidates) -> list:
+    return [(c.entity_id, c.weight, c.common_blocks) for c in candidates]
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=upsert_streams(), data=st.data())
+@pytest.mark.parametrize("path", ["add", "add_batch", "submit"])
+def test_streaming_upserts_equal_the_oracle(path, stream, data):
+    """Every upsert path returns the oracle's candidates, per profile,
+    order and weight bits included: ``add``, ``add_batch`` over a random
+    split of the stream, and ``submit`` with a random buffer capacity."""
+    profiles, sources, config = stream
+    judge = oracle.StreamingResolver(
+        config["scheme"],
+        config["k"],
+        config["filtering_ratio"],
+        config["max_block_size"],
+        config["reciprocal"],
+        config["clean_clean"],
+    )
+    expected = [
+        judge.add(tokens, source) for tokens, source in zip(profiles, sources)
+    ]
+
+    batch_size = None
+    if path == "submit":
+        batch_size = data.draw(st.integers(1, 6), label="batch_size")
+    resolver = IncrementalMetaBlocking(
+        lambda tokens: tokens, batch_size=batch_size, **config
+    )
+    actual: list = []
+    if path == "add":
+        for tokens, source in zip(profiles, sources):
+            actual.append(_rows(resolver.add(tokens, source)))
+    elif path == "add_batch":
+        position = 0
+        while position < len(profiles):
+            size = data.draw(
+                st.integers(1, len(profiles) - position), label="batch"
+            )
+            stop = position + size
+            batch = resolver.add_batch(
+                profiles[position:stop], sources[position:stop]
+            )
+            actual.extend(map(_rows, batch))
+            position = stop
+    else:
+        for tokens, source in zip(profiles, sources):
+            flushed = resolver.submit(tokens, source)
+            if flushed is not None:
+                actual.extend(map(_rows, flushed))
+        actual.extend(map(_rows, resolver.flush()))
+    assert actual == expected
