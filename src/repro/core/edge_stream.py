@@ -21,9 +21,9 @@ parallel-executor stack exchanges instead:
   by every path (serial, batched, parallel), so weight thresholds are
   bit-identical no matter how the edge stream is partitioned, and never
   exceed the neighbourhood's largest weight;
-* directed-pair membership helpers (:func:`directed_pair_keys`,
+* pair-key membership helpers (:func:`directed_pair_keys`,
   :func:`keys_contain`) used by the batched phase 2 of the redefined /
-  reciprocal algorithms.
+  reciprocal CNP.
 
 Every helper is pure and deterministic: the batched pruning algorithms built
 on top retain *exactly* the same comparison sets as the per-edge shims (the
@@ -115,9 +115,12 @@ def neighborhood_mean(weights: np.ndarray) -> float:
     Every path that derives a local weight threshold — serial batched,
     per-edge shim, parallel chunk — calls this one reduction, so thresholds
     are bit-identical regardless of how the surrounding stream is chunked.
-    The sum runs through ``np.add.reduceat`` (sequential left-to-right), the
-    same C reduction :func:`segment_means` applies per segment, so the
-    grouped and per-node forms agree to the last bit.
+    The sum runs through ``np.add.reduceat``, the same C reduction
+    :func:`segment_means` applies per segment. That reduction is not a
+    left-to-right sum (numpy sums in blocks), but it is the same reduction
+    over the same operands in the same order — every backend lists a
+    neighbourhood in ascending id order — so the grouped and per-node forms
+    agree to the last bit.
 
     The mean is clamped to the largest weight: the float sum of ``n`` equal
     weights divided by ``n`` can round one ulp above the common weight
@@ -137,7 +140,8 @@ class NodeGroup:
 
     ``neighbors[offsets[i]:offsets[i+1]]`` (and the matching ``weights``
     slice) is the neighbourhood of ``entities[i]``; empty neighbourhoods are
-    never included, so every segment is non-empty.
+    never included, so every segment is non-empty. Neighbours ascend within
+    each segment.
     """
 
     entities: np.ndarray  # int64 [num_segments]
@@ -156,8 +160,8 @@ class NeighborhoodBatch:
 
     The result of :meth:`~repro.core.edge_weighting.EdgeWeighting.neighborhood_batch`:
     ``neighbors[offsets[i]:offsets[i+1]]`` (and the aligned ``counts`` /
-    ``weights`` slices) is the neighbourhood of ``entities[i]``, in the
-    order and with the weights of the backend's ``neighborhood()``, bit for
+    ``weights`` slices) is the neighbourhood of ``entities[i]``, neighbours
+    ascending, with the weights of the backend's ``neighborhood()``, bit for
     bit. Unlike :class:`NodeGroup`, empty segments are *kept* (their offset
     run is empty), so batch callers can index results positionally by
     input entity.
@@ -254,9 +258,10 @@ class FusedChunk:
     def emitted_node_sums(self) -> tuple[np.ndarray, int]:
         """Per-emitting-node weight sums (node order) and the edge count.
 
-        One sequential ``np.add.reduceat`` per non-empty emitted run, empty
-        runs skipped — the per-node partial sums WEP's global mean is
-        reduced from, so the mean never depends on chunk boundaries.
+        One ``np.add.reduceat`` over the non-empty emitted runs (ascending
+        neighbour ids), empty runs skipped — the per-node partial sums WEP's
+        global mean is reduced from, so the mean never depends on chunk
+        boundaries or on the backend.
         """
         weights = self.emitted.weights
         if weights.size == 0:
@@ -269,10 +274,10 @@ class FusedChunk:
 def segment_means(group: NodeGroup) -> np.ndarray:
     """Per-segment mean weight, one per group entity.
 
-    Uses the same sequential ``np.add.reduceat`` reduction and the same
-    clamp to the segment's largest weight as :func:`neighborhood_mean`, so
-    the grouped means are bit-identical to calling
-    :func:`neighborhood_mean` on each segment.
+    Uses the same ``np.add.reduceat`` reduction, over the same ascending
+    operands, and the same clamp to the segment's largest weight as
+    :func:`neighborhood_mean`, so the grouped means are bit-identical to
+    calling :func:`neighborhood_mean` on each segment.
     """
     starts = group.offsets[:-1]
     means = np.add.reduceat(group.weights, starts) / group.counts
@@ -286,7 +291,8 @@ def topk_per_segment(group: NodeGroup, k: int) -> tuple[np.ndarray, np.ndarray]:
     (segment, ascending neighbor id); ``segments`` gives each selected
     entry's segment position. Ranking reproduces
     :class:`~repro.utils.topk.TopKHeap` exactly: by weight, ties won by the
-    larger neighbor id.
+    larger neighbor id, which is the later position because neighbours
+    ascend within each segment (the :class:`NodeGroup` invariant).
     """
     counts = group.counts
     total = int(group.weights.size)
@@ -296,33 +302,20 @@ def topk_per_segment(group: NodeGroup, k: int) -> tuple[np.ndarray, np.ndarray]:
     segments = np.repeat(
         np.arange(counts.size, dtype=np.int64), counts
     )
-    # Position order doubles as the neighbor tie-break once every segment's
-    # neighbors ascend. CSR-native neighbourhoods already do; others
-    # (discovery order) get one stable sort of the composite key
-    # ``segment * stride + neighbor``, the permutation ``perm``.
-    ascending = np.diff(group.neighbors) > 0
-    ascending[group.offsets[1:-1] - 1] = True
-    perm = None
-    if not ascending.all():
-        stride = int(group.neighbors.max()) + 1
-        perm = np.argsort(segments * stride + group.neighbors, kind="stable")
     if k >= int(counts.max()):
         selected = np.arange(total, dtype=np.int64)
     else:
-        weights = group.weights if perm is None else group.weights[perm]
         # Stable sort by (segment, weight, position): within a segment the
         # last k entries are the top-k, boundary ties resolved toward
         # larger ids — the heap's descending (score, item) rule. Composed
         # from stable argsorts (cheaper than one full-width lexsort), then
         # put back in position order.
-        by_weight = np.argsort(weights, kind="stable")
+        by_weight = np.argsort(group.weights, kind="stable")
         order = by_weight[np.argsort(segments[by_weight], kind="stable")]
         rank = np.arange(total, dtype=np.int64) - np.repeat(
             group.offsets[:-1], counts
         )
         selected = np.sort(order[rank >= np.repeat(counts - k, counts)])
-    if perm is not None:
-        selected = perm[selected]
     return selected, segments[selected]
 
 
@@ -447,7 +440,8 @@ class TopKEdgeBuffer:
 def directed_pair_keys(
     entities: np.ndarray, others: np.ndarray, num_entities: int
 ) -> np.ndarray:
-    """Encode directed ``entity -> other`` pairs as sortable int64 keys."""
+    """Encode ordered ``(entity, other)`` pairs as sortable int64 keys; a
+    canonical ``(low, high)`` pair has one key."""
     stride = np.int64(num_entities + 1)
     return entities.astype(np.int64) * stride + others.astype(np.int64)
 

@@ -14,11 +14,12 @@ CSR views, so no per-block or per-entity Python loop runs.
 
 It computes exactly the same weighted graph as the other two backends, bit
 for bit (the test suite asserts it). Its bulk path,
-:meth:`VectorizedEdgeWeighting.neighborhood_batch`, runs the chunk-count
-kernel it shares with Algorithm 3
-(:meth:`~repro.core.edge_weighting.EdgeWeighting._count_chunk`) with
-ascending neighbours; the two differ in their per-node and per-edge paths
-and in the order of each neighbourhood.
+:meth:`~repro.core.edge_weighting.EdgeWeighting.neighborhood_batch`, is the
+one Algorithm 3's backend inherits too; the two differ only in their
+per-node and per-edge paths. Each segment of a batch is bit-identical to
+:meth:`VectorizedEdgeWeighting.weighted_neighborhood` on that entity: both
+list the neighbours ascending and sum the ARCS terms in gather order, and
+the schemes are element-wise.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.edge_stream import NeighborhoodBatch
 from repro.core.edge_weighting import (
     Edge,
     EdgeWeighting,
@@ -107,13 +107,6 @@ class VectorizedEdgeWeighting(EdgeWeighting):
     ) -> np.ndarray:
         owners = np.full(neighbors.size, entity, dtype=np.int64)
         return self._batch_weights(owners, neighbors, counts, arcs)
-
-    def neighborhood_batch(self, entities) -> NeighborhoodBatch:
-        """:meth:`_count_chunk` with ascending neighbours, weighted once per
-        batch: every segment is bit-identical to
-        :meth:`weighted_neighborhood` on that entity (both sum the ARCS
-        terms in gather order, and the schemes are element-wise)."""
-        return self._counted_batch(entities, ascending=True)
 
     # -- EdgeWeighting interface ---------------------------------------------
 

@@ -54,6 +54,67 @@ def block_filtering(blocks, ratio: float) -> list:
     return filtered
 
 
+def redefined_cnp(
+    blocks, num_entities: int, scheme: str, k: "int | None" = None,
+    conjunctive: bool = False,
+) -> list:
+    """Algorithm 4 (Redefined CNP) over a list of blocks, for CBS and JS;
+    with ``conjunctive``, Reciprocal CNP. Returns the retained pairs,
+    sorted.
+
+    ``|B_i|`` counts every block holding entity ``i``; ``|B_ij|`` counts
+    the blocks in which ``i`` and ``j`` are compared (two members of a
+    unilateral block, or one member of each side of a bilateral one).
+    ``k`` defaults to ``max(1, floor(sum(|b|) / |E| - 1))``. Phase 1 keeps
+    each node's ``k`` heaviest neighbours, ties to the larger id; phase 2
+    walks every distinct edge once and keeps it if either endpoint (both,
+    with ``conjunctive``) kept the other.
+    """
+    block_counts = [0] * num_entities
+    shared: dict[tuple[int, int], int] = {}
+    assignments = 0
+    for _, side1, side2 in blocks:
+        members = list(side1) + list(side2 or [])
+        assignments += len(members)
+        for entity in members:
+            block_counts[entity] += 1
+        if side2 is None:
+            pairs = [
+                (left, right)
+                for position, left in enumerate(side1)
+                for right in side1[position + 1 :]
+            ]
+        else:
+            pairs = [(left, right) for left in side1 for right in side2]
+        for left, right in pairs:
+            pair = (min(left, right), max(left, right))
+            shared[pair] = shared.get(pair, 0) + 1
+    if k is None:
+        k = max(1, int(assignments / num_entities - 1))
+
+    neighbours: dict[int, list] = {}
+    for (left, right), common in shared.items():
+        if scheme == "CBS":
+            weight = float(common)
+        else:
+            union = block_counts[left] + block_counts[right]
+            weight = common / (union - common)
+        neighbours.setdefault(left, []).append((weight, right))
+        neighbours.setdefault(right, []).append((weight, left))
+    top = {
+        entity: {other for _, other in sorted(rows, reverse=True)[:k]}
+        for entity, rows in neighbours.items()
+    }
+
+    retained = []
+    for left, right in sorted(shared):
+        in_left = right in top[left]
+        in_right = left in top[right]
+        if (in_left and in_right) if conjunctive else (in_left or in_right):
+            retained.append((left, right))
+    return retained
+
+
 class StreamingResolver:
     """The streaming upsert, one profile at a time, for CBS and JS.
 

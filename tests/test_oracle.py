@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,12 @@ from hypothesis import strategies as st
 
 from repro.blockprocessing.entity_index import EntityIndex
 from repro.core.block_filtering import BlockFiltering
+from repro.core.execution import ExecutionConfig
+from repro.core.pipeline import WEIGHTING_BACKENDS, meta_block
+from repro.core.pruning import (
+    ReciprocalCardinalityNodePruning,
+    RedefinedCardinalityNodePruning,
+)
 from repro.datamodel.blocks import Block, BlockCollection
 from repro.incremental import IncrementalMetaBlocking
 from tests import oracle
@@ -109,6 +117,49 @@ def test_block_list_round_trip_keeps_the_arrays(blocks, ratio):
         ours, theirs = getattr(index, name), getattr(from_csr, name)
         assert ours.dtype == theirs.dtype
         assert np.array_equal(ours, theirs), name
+
+
+CNP_ALGORITHMS = {
+    False: RedefinedCardinalityNodePruning,
+    True: ReciprocalCardinalityNodePruning,
+}
+
+
+def _pruned(blocks, scheme, pruning, backend, execution) -> list:
+    result = meta_block(
+        blocks,
+        scheme,
+        pruning,
+        block_filtering_ratio=None,
+        backend=backend,
+        execution=execution,
+    )
+    return sorted(result.comparisons.pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    blocks=collections(),
+    scheme=st.sampled_from(["CBS", "JS"]),
+    k=st.one_of(st.none(), st.integers(1, 4)),
+    conjunctive=st.booleans(),
+)
+@pytest.mark.parametrize("backend", sorted(WEIGHTING_BACKENDS))
+def test_redefined_cnp_equals_algorithm_4(
+    backend, blocks, scheme, k, conjunctive
+):
+    """ReCNP (disjunctive) and RcCNP (conjunctive) on every backend, run
+    serially, on two threads and spilled, retain the oracle's pairs."""
+    expected = oracle.redefined_cnp(
+        _as_lists(blocks), blocks.num_entities, scheme, k, conjunctive
+    )
+    pruning = CNP_ALGORITHMS[conjunctive](k)
+    assert _pruned(blocks, scheme, pruning, backend, None) == expected
+    threads = ExecutionConfig(parallel=2)
+    assert _pruned(blocks, scheme, pruning, backend, threads) == expected
+    with tempfile.TemporaryDirectory() as spill_dir:
+        spilled = ExecutionConfig(spill_dir=spill_dir, memory_budget=64)
+        assert _pruned(blocks, scheme, pruning, backend, spilled) == expected
 
 
 @st.composite
