@@ -281,8 +281,13 @@ class EdgeWeighting(ABC):
         order, the order :meth:`OptimizedEdgeWeighting._scan` returns them
         in. ``counts`` are ``|B_ij|``; ARCS sums (zeros for other schemes)
         are added in gather order (``B_i`` ascending, then members in block
-        order), the scan's order, so the float bits match. Nothing is
-        weighted, so the degree pass can run on it.
+        order), the scan's order, so the float bits match. Only ARCS needs
+        that order, so only ARCS sorts with an index (``np.argsort``); every
+        other scheme sorts the keys themselves. Segment ``i``'s keys lie in
+        ``[i * stride, (i + 1) * stride)``, so one ``np.searchsorted`` of
+        the segment ends gives the offsets, and each neighbour is its key
+        less its segment's base. Nothing is weighted, so the degree pass can
+        run on it.
         """
         n = int(entities.size)
         offsets = np.zeros(n + 1, dtype=np.int64)
@@ -293,20 +298,21 @@ class EdgeWeighting(ABC):
             empty = np.empty(0, dtype=np.int64)
             return offsets, empty, empty, np.empty(0, dtype=np.float64)
         stride = np.int64(max(self.num_entities, 1))
-        keys = (
-            np.repeat(np.arange(n, dtype=np.int64), np.diff(gather_offsets))
-            * stride
-            + ids
-        )
-        order = np.argsort(keys)
-        keys = keys[order]
+        bases = np.arange(n, dtype=np.int64) * stride
+        keys = np.repeat(bases, np.diff(gather_offsets)) + ids
+        arcs_sum = self.scheme.uses_arcs_sum
+        if arcs_sum:
+            order = np.argsort(keys)
+            keys = keys[order]
+        else:
+            keys = np.sort(keys)
         first = np.empty(keys.size, dtype=bool)
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         starts = first.nonzero()[0]
         counts = np.diff(starts, append=keys.size)
         keys = keys[starts]
-        if self.scheme.uses_arcs_sum:
+        if arcs_sum:
             groups = np.empty(order.size, dtype=np.int64)
             groups[order] = np.cumsum(first) - 1
             arcs = np.bincount(
@@ -316,9 +322,8 @@ class EdgeWeighting(ABC):
             )
         else:
             arcs = np.zeros(starts.size, dtype=np.float64)
-        segments = keys // stride
-        np.cumsum(np.bincount(segments, minlength=n), out=offsets[1:])
-        return offsets, keys - segments * stride, counts, arcs
+        offsets[1:] = np.searchsorted(keys, bases + stride)
+        return offsets, keys - np.repeat(bases, np.diff(offsets)), counts, arcs
 
     def emitters(self, entities) -> np.ndarray:
         """The entities of ``entities`` that emit distinct edges.

@@ -54,21 +54,19 @@ def block_filtering(blocks, ratio: float) -> list:
     return filtered
 
 
-def redefined_cnp(
-    blocks, num_entities: int, scheme: str, k: "int | None" = None,
-    conjunctive: bool = False,
-) -> list:
-    """Algorithm 4 (Redefined CNP) over a list of blocks, for CBS and JS;
-    with ``conjunctive``, Reciprocal CNP. Returns the retained pairs,
-    sorted.
+def node_top_k(
+    blocks, num_entities: int, scheme: str, k: "int | None" = None
+) -> tuple:
+    """Each node's ``k`` heaviest neighbours, for CBS and JS: the shared
+    core of Algorithm 4 and of original CNP.
 
-    ``|B_i|`` counts every block holding entity ``i``; ``|B_ij|`` counts
-    the blocks in which ``i`` and ``j`` are compared (two members of a
-    unilateral block, or one member of each side of a bilateral one).
-    ``k`` defaults to ``max(1, floor(sum(|b|) / |E| - 1))``. Phase 1 keeps
-    each node's ``k`` heaviest neighbours, ties to the larger id; phase 2
-    walks every distinct edge once and keeps it if either endpoint (both,
-    with ``conjunctive``) kept the other.
+    Returns ``(shared, top)``: ``shared`` maps every distinct edge, as a
+    ``(low, high)`` pair, to ``|B_ij|``, the blocks in which ``i`` and
+    ``j`` are compared (two members of a unilateral block, or one member
+    of each side of a bilateral one); ``top`` maps each node with a
+    neighbour to the set of its top-``k`` neighbours, ties to the larger
+    id. ``|B_i|`` counts every block holding entity ``i``, and ``k``
+    defaults to ``max(1, floor(sum(|b|) / |E| - 1))``.
     """
     block_counts = [0] * num_entities
     shared: dict[tuple[int, int], int] = {}
@@ -105,7 +103,35 @@ def redefined_cnp(
         entity: {other for _, other in sorted(rows, reverse=True)[:k]}
         for entity, rows in neighbours.items()
     }
+    return shared, top
 
+
+def cnp(blocks, num_entities: int, scheme: str, k: "int | None" = None) -> list:
+    """Original CNP over a list of blocks, for CBS and JS: every node's
+    top-``k`` neighbours (:func:`node_top_k`) as ``(low, high)`` pairs, a
+    pair kept once for each end that selects it. Returns the pairs,
+    sorted, repeats included."""
+    _, top = node_top_k(blocks, num_entities, scheme, k)
+    return sorted(
+        (min(entity, other), max(entity, other))
+        for entity, others in top.items()
+        for other in others
+    )
+
+
+def redefined_cnp(
+    blocks, num_entities: int, scheme: str, k: "int | None" = None,
+    conjunctive: bool = False,
+) -> list:
+    """Algorithm 4 (Redefined CNP) over a list of blocks, for CBS and JS;
+    with ``conjunctive``, Reciprocal CNP. Returns the retained pairs,
+    sorted.
+
+    Phase 1 keeps each node's ``k`` heaviest neighbours
+    (:func:`node_top_k`); phase 2 walks every distinct edge once and keeps
+    it if either endpoint (both, with ``conjunctive``) kept the other.
+    """
+    shared, top = node_top_k(blocks, num_entities, scheme, k)
     retained = []
     for left, right in sorted(shared):
         in_left = right in top[left]

@@ -7,6 +7,8 @@ comparisons as the per-edge ``prune_per_edge`` shim.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,40 @@ BACKENDS = {
     "original": OriginalEdgeWeighting,
     "vectorized": VectorizedEdgeWeighting,
 }
+
+
+def _ulp_run(base: float, count: int) -> list:
+    """``base`` and the ``count`` doubles above it: distinct weights that
+    share their top 32 bits."""
+    run = [base]
+    for _ in range(count):
+        run.append(float(np.nextafter(run[-1], np.inf)))
+    return run
+
+
+#: Weights whose ranking a bit-level shortcut could get wrong: ulps apart,
+#: signed zeros, float64 and float32 subnormals, infinities, negatives and
+#: NaNs of both signs.
+FLOAT_WEIGHTS = [
+    0.25, 0.5, 2.0, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-40,
+    math.inf, -math.inf, -1.5, math.nan, -math.nan,
+    *_ulp_run(1.0, 3), *_ulp_run(-2.0, 3), *_ulp_run(0.3, 3),
+]
+#: Integers, among them two that one double cannot tell apart.
+INTEGER_WEIGHTS = [-(2**62), -3, -1, 0, 1, 2, 2**53, 2**53 + 1, 2**62]
+
+
+def _ranked_top_k(run: list, weights: list, k: int) -> list:
+    """The ``k`` best neighbours of a segment, ranked in plain Python as
+    numpy's sorts rank weights: by (is NaN, weight, position), every NaN
+    equal and above ``+inf``. Sorted by id."""
+    def key(position: int) -> tuple:
+        weight = weights[position]
+        nan = weight != weight
+        return nan, 0.0 if nan else weight, position
+
+    ranked = sorted(range(len(run)), key=key)
+    return sorted(run[position] for position in ranked[max(len(run) - k, 0) :])
 
 
 class TestEdgeBatch:
@@ -120,7 +156,9 @@ class TestTopKSelection:
     @given(data=st.data())
     def test_topk_per_segment_property(self, data):
         """Segments in ascending neighbour order (the ``NodeGroup``
-        invariant), tied weights."""
+        invariant) and longer than ``k``, with tied weights, weights that
+        share a prefix, signed zeros, subnormals, infinities, negatives and
+        NaNs of both signs, in float64, float32 and int64 arrays."""
         segments = data.draw(
             st.lists(
                 st.lists(
@@ -130,27 +168,44 @@ class TestTopKSelection:
                 max_size=6,
             )
         )
-        grid = st.sampled_from([0.25, 0.5, 1.0, 2.0])
-        weights = [
-            data.draw(st.lists(grid, min_size=len(run), max_size=len(run)))
+        dtype = data.draw(st.sampled_from([np.float64, np.float32, np.int64]))
+        grid = st.sampled_from(
+            INTEGER_WEIGHTS if dtype is np.int64 else FLOAT_WEIGHTS
+        )
+        drawn = [
+            weight
             for run in segments
+            for weight in data.draw(
+                st.lists(grid, min_size=len(run), max_size=len(run))
+            )
         ]
         longest = max(len(run) for run in segments)
-        k = data.draw(st.integers(min_value=0, max_value=longest + 2))
+        k = data.draw(
+            st.one_of(
+                st.integers(min_value=1, max_value=longest),
+                st.integers(min_value=0, max_value=longest + 2),
+            )
+        )
         offsets = np.cumsum([0] + [len(run) for run in segments])
         group = NodeGroup(
             np.arange(len(segments), dtype=np.int64),
             offsets.astype(np.int64),
             np.array([n for run in segments for n in run], dtype=np.int64),
-            np.array([w for run in weights for w in run], dtype=np.float64),
+            np.array(drawn).astype(dtype),
         )
         selected, chosen = topk_per_segment(group, k)
         assert chosen.tolist() == sorted(chosen.tolist())
-        for position, (run, run_weights) in enumerate(zip(segments, weights)):
-            heap: TopKHeap[int] = TopKHeap(k)
-            for other, weight in zip(run, run_weights):
-                heap.push(weight, other)
+        for position, run in enumerate(segments):
+            run_weights = group.weights[
+                offsets[position] : offsets[position + 1]
+            ]
             picked = group.neighbors[selected[chosen == position]].tolist()
+            if np.isnan(run_weights).any():
+                assert picked == _ranked_top_k(run, run_weights.tolist(), k)
+                continue
+            heap: TopKHeap[int] = TopKHeap(k)
+            for other, weight in zip(run, run_weights.tolist()):
+                heap.push(weight, other)
             assert picked == sorted(heap.items())
 
     @pytest.mark.parametrize("k", [1, 3, 10, 64])

@@ -15,6 +15,7 @@ from repro.core.block_filtering import BlockFiltering
 from repro.core.execution import ExecutionConfig
 from repro.core.pipeline import WEIGHTING_BACKENDS, meta_block
 from repro.core.pruning import (
+    CardinalityNodePruning,
     ReciprocalCardinalityNodePruning,
     RedefinedCardinalityNodePruning,
 )
@@ -137,6 +138,17 @@ def _pruned(blocks, scheme, pruning, backend, execution) -> list:
     return sorted(result.comparisons.pairs)
 
 
+def _assert_every_execution(blocks, scheme, pruning, backend, expected):
+    """``pruning`` retains ``expected`` (sorted, repeats included) run
+    serially, on two threads and spilled."""
+    assert _pruned(blocks, scheme, pruning, backend, None) == expected
+    threads = ExecutionConfig(parallel=2)
+    assert _pruned(blocks, scheme, pruning, backend, threads) == expected
+    with tempfile.TemporaryDirectory() as spill_dir:
+        spilled = ExecutionConfig(spill_dir=spill_dir, memory_budget=64)
+        assert _pruned(blocks, scheme, pruning, backend, spilled) == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     blocks=collections(),
@@ -154,12 +166,23 @@ def test_redefined_cnp_equals_algorithm_4(
         _as_lists(blocks), blocks.num_entities, scheme, k, conjunctive
     )
     pruning = CNP_ALGORITHMS[conjunctive](k)
-    assert _pruned(blocks, scheme, pruning, backend, None) == expected
-    threads = ExecutionConfig(parallel=2)
-    assert _pruned(blocks, scheme, pruning, backend, threads) == expected
-    with tempfile.TemporaryDirectory() as spill_dir:
-        spilled = ExecutionConfig(spill_dir=spill_dir, memory_budget=64)
-        assert _pruned(blocks, scheme, pruning, backend, spilled) == expected
+    _assert_every_execution(blocks, scheme, pruning, backend, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    blocks=collections(),
+    scheme=st.sampled_from(["CBS", "JS"]),
+    k=st.one_of(st.none(), st.integers(1, 4)),
+)
+@pytest.mark.parametrize("backend", sorted(WEIGHTING_BACKENDS))
+def test_cnp_equals_each_nodes_top_k(backend, blocks, scheme, k):
+    """Original CNP on every backend, run serially, on two threads and
+    spilled, retains every node's top-k, a pair once for each end that
+    selects it."""
+    expected = oracle.cnp(_as_lists(blocks), blocks.num_entities, scheme, k)
+    pruning = CardinalityNodePruning(k)
+    _assert_every_execution(blocks, scheme, pruning, backend, expected)
 
 
 @st.composite
