@@ -133,8 +133,6 @@ def cmd_metablock(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             spill_dir=args.spill_dir,
             memory_budget=args.memory_budget,
-            max_retries=args.max_retries,
-            chunk_timeout=args.chunk_timeout,
         )
         result = meta_block(
             blocks,
@@ -159,16 +157,9 @@ def cmd_metablock(args: argparse.Namespace) -> int:
           f"({result.parallel_backend})")
     print(f"result:    {report}")
     print(f"overhead:  {result.overhead_seconds:.2f}s")
-    stats = result.fault_stats
-    if stats and (
-        stats.get("retries")
-        or stats.get("resumed_chunks")
-        or stats.get("degraded")
-    ):
-        degraded = "".join(f", degraded to {b}" for b in stats["degraded"])
-        print(f"faults:    {stats['retries']} retries "
-              f"({stats['chunk_timeouts']} timeouts), "
-              f"{stats['resumed_chunks']} chunks resumed{degraded}")
+    resumed = result.fault_stats.get("resumed_chunks")
+    if resumed:
+        print(f"faults:    {resumed} chunks resumed")
     timings = result.phase_timings
     if timings and any(timings.values()):
         print(f"timings:   dispatch {timings.get('dispatch', 0.0):.2f}s, "
@@ -639,17 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="approximate bytes of retained comparisons resident in RAM; "
              "implies spilling (to --spill-dir or a temporary directory) "
              "and sizes the shards accordingly",
-    )
-    metablock.add_argument(
-        "--max-retries", type=int, default=None, dest="max_retries",
-        help="per-chunk retry budget before the parallel executor degrades "
-             "from the thread pool to in-process (default 2)",
-    )
-    metablock.add_argument(
-        "--chunk-timeout", type=float, default=None, dest="chunk_timeout",
-        help="seconds the supervisor waits on a parallel chunk before "
-             "retrying it (default: no timeout); a timed-out thread still "
-             "runs to completion",
     )
     metablock.add_argument(
         "--resume", default=None, metavar="RUN_DIR",

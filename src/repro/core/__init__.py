@@ -22,13 +22,11 @@ from repro.core.block_filtering import BlockFiltering
 from repro.core.edge_stream import DEFAULT_CHUNK_SIZE, EdgeBatch
 from repro.core.execution import ExecutionConfig
 from repro.core.faults import (
-    ChunkTimeout,
     Fault,
     FaultPlan,
     FaultToleranceError,
     InjectedFault,
     InjectedWalTear,
-    RetriesExhausted,
     SpillCorrupted,
     clear_faults,
     fire_wal_fault,
@@ -98,7 +96,6 @@ __all__ = [
     "CardinalityEdgePruning",
     "EdgeBatch",
     "CardinalityNodePruning",
-    "ChunkTimeout",
     "EdgeWeighting",
     "ExecutionConfig",
     "FSYNC_POLICIES",
@@ -108,7 +105,6 @@ __all__ = [
     "InjectedFault",
     "InjectedWalTear",
     "RecoveryReport",
-    "RetriesExhausted",
     "SpillCorrupted",
     "WalBroken",
     "WalError",

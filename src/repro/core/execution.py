@@ -4,6 +4,9 @@
 :func:`~repro.core.pipeline.meta_block`, the workflow, the streaming
 resolver and the CLI: *what* to compute stays in the pipeline signature
 (blocks, scheme, algorithm), *how* to run it lives here, and nowhere else.
+There is no per-chunk timeout or retry: a pool thread cannot be stopped,
+and a node range run again returns the same pairs at the same cost (see
+:mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations
@@ -26,19 +29,13 @@ def _require_int(name: str, value: "int | None", minimum: int) -> None:
         raise ValueError(f"{name} must be {kind}, got {value}")
 
 
-def _require_number(
-    name: str,
-    value: "float | None",
-    minimum: float,
-    exclusive: bool = False,
-) -> None:
+def _require_number(name: str, value: "float | None", minimum: float) -> None:
     if value is None:
         return
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if (value <= minimum) if exclusive else (value < minimum):
-        op = ">" if exclusive else ">="
-        raise ValueError(f"{name} must be {op} {minimum}, got {value}")
+    if value <= minimum:
+        raise ValueError(f"{name} must be > {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -70,22 +67,6 @@ class ExecutionConfig:
         Approximate bound, in bytes, on retained comparisons resident in
         RAM. Implies spilling (to ``spill_dir`` when also set, else to a
         private temporary directory) and sizes the shards accordingly.
-    max_retries:
-        How many times the parallel executor re-runs a timed-out chunk
-        before degrading from the thread pool to in-process — and, once
-        in-process, raising
-        :class:`~repro.core.faults.RetriesExhausted`. ``None`` uses the
-        executor default (2).
-    chunk_timeout:
-        Seconds the supervisor waits on a single chunk before counting it
-        as failed and retrying it; ``None`` (default) never times chunks
-        out. A pool thread cannot be stopped, so the timed-out copy still
-        runs to completion: the timeout decides when the retry starts, not
-        how long the run takes.
-    backoff:
-        Base of the exponential retry backoff — the supervisor sleeps
-        ``backoff * 2**(attempt-1)`` seconds before re-running a failed
-        chunk. ``None`` uses the executor default (0.1 s).
     resume_from:
         Path of an interrupted spill ``run-*`` directory. The run's
         checkpoint is reopened, completed chunks are validated and skipped,
@@ -130,9 +111,6 @@ class ExecutionConfig:
     chunk_size: "int | str | None" = "auto"
     spill_dir: "str | os.PathLike[str] | None" = None
     memory_budget: int | None = None
-    max_retries: int | None = None
-    chunk_timeout: float | None = None
-    backoff: float | None = None
     resume_from: "str | os.PathLike[str] | None" = None
     compact_ratio: float | None = None
     compact_dir: "str | os.PathLike[str] | None" = None
@@ -152,14 +130,7 @@ class ExecutionConfig:
         else:
             _require_int("chunk_size", self.chunk_size, minimum=1)
         _require_int("memory_budget", self.memory_budget, minimum=1)
-        _require_int("max_retries", self.max_retries, minimum=0)
-        _require_number(
-            "chunk_timeout", self.chunk_timeout, minimum=0, exclusive=True
-        )
-        _require_number("backoff", self.backoff, minimum=0)
-        _require_number(
-            "compact_ratio", self.compact_ratio, minimum=0, exclusive=True
-        )
+        _require_number("compact_ratio", self.compact_ratio, minimum=0)
         if self.compact_ratio is not None and self.compact_ratio > 1:
             raise ValueError(
                 f"compact_ratio must be <= 1, got {self.compact_ratio}"
@@ -203,9 +174,6 @@ class ExecutionConfig:
             "chunk_size": self.chunk_size,
             "spill_dir": None if self.spill_dir is None else str(self.spill_dir),
             "memory_budget": self.memory_budget,
-            "max_retries": self.max_retries,
-            "chunk_timeout": self.chunk_timeout,
-            "backoff": self.backoff,
             "resume_from": (
                 None if self.resume_from is None else str(self.resume_from)
             ),
@@ -225,7 +193,8 @@ class ExecutionConfig:
 
         Ignoring extra keys keeps older spill checkpoints and workflow
         configs loading, e.g. those that still carry the removed
-        ``parallel_backend`` field.
+        ``parallel_backend``, ``max_retries``, ``chunk_timeout`` or
+        ``backoff`` fields.
         """
         known = {field.name for field in fields(cls)}
         return cls(**{key: config[key] for key in known if key in config})

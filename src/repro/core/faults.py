@@ -1,24 +1,23 @@
 """Structured failure taxonomy + deterministic fault injection.
 
-The fault-tolerance layer of the parallel executor needs two things this
-module provides:
+Two things live here:
 
-* a small exception taxonomy distinguishing *retryable* infrastructure
-  failures (a chunk exceeded its timeout, a spill shard failed
-  validation) from deterministic task errors, plus the terminal
-  :class:`RetriesExhausted`;
-* a deterministic fault-injection harness so the retry/degrade/resume
-  machinery can be tested end to end: a :class:`FaultPlan` describes
-  *when* to delay a chunk past its timeout, fail it, or hard-exit the
-  owner mid-adoption, and the executor/sink code calls the ``fire_*``
-  hooks at the matching sites.
+* a small exception taxonomy: :class:`FaultToleranceError` is the base of
+  :class:`SpillCorrupted` (a spill shard or checkpoint failed
+  validation), and :class:`InjectedFault` is the deterministic error the
+  harness raises;
+* a deterministic fault-injection harness, so chunk errors and the
+  checkpoint-resume path can be tested end to end: a :class:`FaultPlan`
+  describes *when* to delay a chunk, fail it, or hard-exit the owner
+  mid-adoption, and the executor, sink, WAL and daemon code call the
+  ``fire_*`` hooks at the matching sites.
 
 Fault plans are mirrored into the :data:`FAULTS_ENV` environment variable,
 so a child process started with that environment (the crash-and-resume
 tests run the interrupted half in one) inherits the plan without calling
-:func:`install_faults` itself. Firing is keyed on the *attempt number* of
-a chunk: a fault with ``attempts=1`` fires on the first attempt only, so
-the retry is deterministic — no shared mutable state is needed.
+:func:`install_faults` itself. Every node range is a deterministic
+function of the Entity Index, so a fault keyed on the task name and the
+chunk index fires at the same point on every run.
 
 This module is an import leaf (stdlib only) so both
 :mod:`repro.datamodel.sinks` and :mod:`repro.core.parallel` can depend on
@@ -43,13 +42,6 @@ class FaultToleranceError(RuntimeError):
     """Base of the executor's structured failure taxonomy."""
 
 
-class ChunkTimeout(FaultToleranceError):
-    """A chunk exceeded the configured per-chunk timeout.
-
-    Retryable: only the timed-out chunk's attempt counter is charged.
-    """
-
-
 class SpillCorrupted(FaultToleranceError):
     """A spill shard or checkpoint failed length/checksum validation.
 
@@ -61,16 +53,8 @@ class SpillCorrupted(FaultToleranceError):
     """
 
 
-class RetriesExhausted(FaultToleranceError):
-    """A chunk kept failing after every retry and backend degradation."""
-
-
-#: Failures the supervisor retries; anything else propagates immediately.
-RETRYABLE_FAILURES = (ChunkTimeout,)
-
-
 class InjectedFault(RuntimeError):
-    """A deterministic (non-retryable) error raised by an ``error`` fault."""
+    """The deterministic error raised by an ``error`` fault."""
 
 
 class InjectedWalTear(InjectedFault):
@@ -101,9 +85,8 @@ class Fault:
         the owner on the in-process backend); ``"adopt"`` fires owner-side
         after a chunk shard has been adopted and checkpointed.
     op:
-        ``"delay"`` sleeps ``seconds`` inside the chunk on a pool thread
-        (simulated as a raised :class:`ChunkTimeout` in-process) and lets
-        later matching faults fire on the stalled chunk, ``"error"``
+        ``"delay"`` sleeps ``seconds`` inside the chunk and lets later
+        matching faults fire on the stalled chunk, ``"error"``
         raises a deterministic :class:`InjectedFault`, and ``"exit"``
         (adopt site) hard-exits the owner process mid-run.
         ``"torn_wal_tail"`` (wal site) makes the write-ahead log flush
@@ -119,10 +102,6 @@ class Fault:
         Substring of the chunk task name, ``"<acronym>:<phase>"`` in lower
         case (e.g. ``"wep:retain"``; ``"wnp"`` matches every WNP family
         task); ``None`` matches every task.
-    attempts:
-        Number of attempts the fault keeps firing for: it fires while
-        ``attempt < attempts``, so the default 1 fires on the first attempt
-        only and the retry succeeds deterministically.
     seconds:
         Sleep length for ``delay`` faults.
     after:
@@ -134,7 +113,6 @@ class Fault:
     op: str = "delay"
     chunk: "int | None" = None
     task: "str | None" = None
-    attempts: int = 1
     seconds: float = 0.0
     after: int = 1
 
@@ -144,14 +122,12 @@ class Fault:
         if self.op not in FAULT_OPS:
             raise ValueError(f"unknown fault op {self.op!r}; known: {FAULT_OPS}")
 
-    def matches_chunk(self, task: str, chunk: int, attempt: int) -> bool:
+    def matches_chunk(self, task: str, chunk: int) -> bool:
         if self.site != "chunk":
             return False
         if self.task is not None and self.task not in task:
             return False
-        if self.chunk is not None and self.chunk != chunk:
-            return False
-        return attempt < self.attempts
+        return self.chunk is None or self.chunk == chunk
 
 
 @dataclass(frozen=True)
@@ -227,36 +203,24 @@ class injected_faults:
 # -- firing sites -------------------------------------------------------------
 
 
-def fire_chunk_fault(
-    task: str, chunk: int, attempt: int, in_worker: bool
-) -> None:
+def fire_chunk_fault(task: str, chunk: int) -> None:
     """Hook called at the top of every chunk execution.
 
-    ``in_worker`` tells the harness whether a ``delay`` can really stall
-    the chunk (a pool thread, which the owner times out) or must be
-    simulated by raising :class:`ChunkTimeout` (the in-process backend,
-    where the owner itself runs the chunk). A no-op without an active
-    plan.
+    A ``delay`` sleeps in the calling thread (a pool thread, or the owner
+    on the in-process backend), then later faults may fail the stalled
+    chunk; an ``error`` raises :class:`InjectedFault`. A no-op without an
+    active plan.
     """
     plan = active_plan()
     if plan is None:
         return
     for fault in plan.faults:
-        if not fault.matches_chunk(task, chunk, attempt):
+        if not fault.matches_chunk(task, chunk):
             continue
         if fault.op == "delay":
-            if in_worker:
-                time.sleep(fault.seconds)
-                continue  # a later fault may fail the stalled chunk
-            raise ChunkTimeout(
-                f"injected delay on chunk {chunk} of {task!r} "
-                f"(attempt {attempt})"
-            )
-        if fault.op == "error":
-            raise InjectedFault(
-                f"injected error on chunk {chunk} of {task!r} "
-                f"(attempt {attempt})"
-            )
+            time.sleep(fault.seconds)
+        elif fault.op == "error":
+            raise InjectedFault(f"injected error on chunk {chunk} of {task!r}")
 
 
 def fire_adoption_fault(ordinal: int) -> None:
@@ -322,14 +286,11 @@ __all__ = [
     "FAULTS_ENV",
     "FAULT_OPS",
     "FAULT_SITES",
-    "RETRYABLE_FAILURES",
-    "ChunkTimeout",
     "Fault",
     "FaultPlan",
     "FaultToleranceError",
     "InjectedFault",
     "InjectedWalTear",
-    "RetriesExhausted",
     "SpillCorrupted",
     "active_plan",
     "clear_faults",

@@ -16,14 +16,15 @@ thread pool. The execution backend follows from the worker count alone:
   ``EdgeWeighting._from_shared_index``) so the ScanCount scratch arrays
   are never shared between threads.
 * ``"in-process"`` — the same chunk tasks run serially in the parent
-  (``workers=1``, single-node graphs, or after the thread pool kept
-  failing a chunk).
+  (``workers=1`` or single-node graphs).
 
 The resolved choice is readable from
 :attr:`ParallelMetaBlockingExecutor.backend`. Threads give no crash
-isolation: a crash in native code ends the whole run. A chunk past its
-``chunk_timeout`` cannot be stopped either, so the timeout decides when
-the chunk's retry starts, not how long the run takes.
+isolation: a crash in native code ends the whole run. A running chunk
+cannot be stopped either, so when one chunk raises, the error reaches
+the caller once the chunks already running have finished. Every node
+range is a deterministic function of the Entity Index, so a chunk run
+again returns the same pairs at the same cost: nothing is retried.
 
 The executor holds no per-algorithm code. Every pruning algorithm is
 written once, as the chunk steps of
@@ -60,22 +61,14 @@ from __future__ import annotations
 import os
 import queue
 import time
-import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from repro.core.edge_weighting import EdgeWeighting
-from repro.core.faults import (
-    RETRYABLE_FAILURES,
-    ChunkTimeout,
-    RetriesExhausted,
-    fire_chunk_fault,
-)
+from repro.core.faults import fire_chunk_fault
 from repro.core.pruning.base import PruningAlgorithm, PruningRun
 from repro.datamodel.blocks import ComparisonCollection
 from repro.datamodel.sinks import ComparisonSink, SpillSink
@@ -87,12 +80,6 @@ ChunkTask = Callable[[EdgeWeighting, Range], object]
 #: arrays, or ``("shard", file_name, pair_count, crc)`` when the chunk
 #: wrote its pairs straight to a spill shard.
 ChunkPairs = tuple
-
-#: Default retry budget per chunk before the executor degrades to in-process.
-DEFAULT_MAX_RETRIES = 2
-
-#: Default base (seconds) of the exponential retry backoff.
-DEFAULT_BACKOFF = 0.1
 
 
 def _concat(chunks: "list[np.ndarray]") -> np.ndarray:
@@ -124,29 +111,9 @@ def _package(
 PARALLEL_BACKENDS = ("threads", "in-process")
 
 
-def _new_fault_stats() -> dict:
-    """Zeroed supervision counters (one dict per executor)."""
-    return {
-        "retries": 0,
-        "chunk_timeouts": 0,
-        "resumed_chunks": 0,
-        "degraded": [],
-    }
-
-
 def _new_timings() -> dict:
     """Zeroed per-phase wall-clock buckets (seconds)."""
     return {"dispatch": 0.0, "weight": 0.0, "prune": 0.0, "merge": 0.0}
-
-
-def _discard_shard(future: Future, spill_dir: "str | None") -> None:
-    """Delete the spill shard an abandoned chunk wrote; nothing adopts it."""
-    if spill_dir is None or future.cancelled() or future.exception():
-        return
-    chunk = future.result()
-    if isinstance(chunk, tuple) and isinstance(chunk[0], str):
-        if chunk[0] == "shard":
-            Path(spill_dir, chunk[1]).unlink(missing_ok=True)
 
 
 def supports_parallel(algorithm: PruningAlgorithm) -> bool:
@@ -237,29 +204,13 @@ class ParallelMetaBlockingExecutor:
         Number of contiguous node ranges to split the graph into; defaults
         to ``4 × workers`` so stragglers rebalance. Ranges are balanced by
         Entity Index comparison mass (:func:`partition_ranges_by_mass`).
-    max_retries:
-        Retry budget per chunk: a chunk that exceeded ``chunk_timeout``
-        (:class:`~repro.core.faults.ChunkTimeout`) is re-executed up to
-        this many times before the executor *degrades* from the thread
-        pool to in-process; once in-process and still failing, the
-        supervisor raises :class:`~repro.core.faults.RetriesExhausted`.
-        Deterministic task exceptions are never retried.
-    chunk_timeout:
-        Seconds the owner waits on one chunk before counting it as failed;
-        ``None`` (the default) disables the timeout. The timed-out chunk's
-        thread runs on in the background, and any shard it writes is
-        deleted unadopted.
-    backoff:
-        Base of the exponential retry backoff (``backoff * 2**(attempt-1)``
-        seconds before each retry).
 
     Executors that resolve to ``threads`` own a persistent thread pool:
     call :meth:`close` when done, or use the executor as a context
     manager. On the in-process backend ``close`` is a no-op.
 
-    Supervision counters accumulate in :attr:`stats` (``retries``,
-    ``chunk_timeouts``, ``resumed_chunks`` and the ``degraded`` backend
-    trail) and are surfaced as ``MetaBlockingResult.fault_stats``.
+    :attr:`stats` counts the ``resumed_chunks`` a resumed spill run
+    skipped; it is surfaced as ``MetaBlockingResult.fault_stats``.
     """
 
     def __init__(
@@ -267,19 +218,11 @@ class ParallelMetaBlockingExecutor:
         weighting: EdgeWeighting,
         workers: int | None = None,
         chunks: int | None = None,
-        max_retries: int | None = None,
-        chunk_timeout: float | None = None,
-        backoff: float | None = None,
     ) -> None:
         self.weighting = weighting
         self.workers = resolve_workers(workers)
         self.chunks = chunks if chunks and chunks > 0 else 4 * self.workers
-        self.max_retries = (
-            DEFAULT_MAX_RETRIES if max_retries is None else int(max_retries)
-        )
-        self.chunk_timeout = chunk_timeout
-        self.backoff = DEFAULT_BACKOFF if backoff is None else float(backoff)
-        self.stats: dict = _new_fault_stats()
+        self.stats: dict = {"resumed_chunks": 0}
         self.timings: dict = _new_timings()
         #: The graph's nodes; the node ranges index into this list.
         self.nodes: list[int] = weighting.nodes()
@@ -287,29 +230,19 @@ class ParallelMetaBlockingExecutor:
         self._clones: "queue.SimpleQueue | None" = None
         self._range_cache: "list[Range] | None" = None
         self._algorithm_name = ""
-        #: Spill run directory of the current :meth:`prune`; when set,
-        #: pair-producing chunks write their results as shards there.
-        self._spill_dir: str | None = None
         self.backend = (
             "threads"
             if self.workers > 1 and len(self.nodes) > 1
             else "in-process"
         )
 
-    @property
-    def pool_backend(self) -> str:
-        """The resolved execution backend (see :data:`PARALLEL_BACKENDS`)."""
-        return self.backend
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
         """Shut down the thread pool, waiting for every pool thread.
 
-        Idempotent; a no-op on the in-process backend. Threads still
-        running an abandoned (timed-out) chunk are waited for too, so once
-        this returns no late shard can land in a spill run. Always reached
-        via ``try/finally`` in :func:`parallel_prune` and
+        Idempotent; a no-op on the in-process backend. Always reached via
+        ``try/finally`` in :func:`parallel_prune` and
         :func:`repro.core.pipeline.meta_block`.
         """
         threads, self._thread_pool = self._thread_pool, None
@@ -350,7 +283,9 @@ class ParallelMetaBlockingExecutor:
             self._clones = clones
         return self._thread_pool
 
-    def _thread_dispatch(self, payload: "tuple[str, ChunkTask, Range, int, int]"):
+    def _thread_dispatch(
+        self, name: str, task: ChunkTask, bounds: Range, chunk: int
+    ):
         """Run one chunk task on a checked-out weighting clone.
 
         The clone first takes the owner's EJS degrees (shared by
@@ -358,7 +293,6 @@ class ParallelMetaBlockingExecutor:
         once the clone is staged, so a ``delay`` stalls the task itself,
         exactly like a slow chunk would.
         """
-        name, task, bounds, chunk, attempt = payload
         clones = self._clones
         assert clones is not None, "weighting clones missing (threads executor)"
         clone = clones.get()
@@ -366,12 +300,12 @@ class ParallelMetaBlockingExecutor:
             clone._degrees = self.weighting._degrees
             clone._total_edges = self.weighting._total_edges
             clone._degrees_array = self.weighting._degrees_array
-            fire_chunk_fault(name, chunk, attempt, in_worker=True)
+            fire_chunk_fault(name, chunk)
             return task(clone, bounds)
         finally:
             clones.put(clone)
 
-    # -- supervised chunk mapping --------------------------------------------
+    # -- chunk mapping -------------------------------------------------------
 
     def _map_chunks(
         self,
@@ -380,22 +314,17 @@ class ParallelMetaBlockingExecutor:
         bucket: str,
         skip: "frozenset[int] | set[int]" = frozenset(),
     ) -> list:
-        """Run ``task`` over every node range, supervising the pool.
+        """Run ``task`` over every node range; results in range order.
 
-        ``name`` identifies the task to fault plans and supervision
-        messages; the map's wall-clock, less its dispatch time, is booked
-        in the ``bucket`` timing.
+        ``name`` identifies the task to fault plans; the map's wall-clock,
+        less its dispatch time, is booked in the ``bucket`` timing.
+        ``skip``-ped ranges (already completed on a resumed run) get
+        ``None``.
 
-        Results come back in submission order (``None`` for ``skip``-ped
-        chunks — already-completed work on a resumed run). A chunk that
-        exceeds :attr:`chunk_timeout`
-        (:class:`~repro.core.faults.ChunkTimeout`) is retried with
-        exponential backoff; every other chunk's future stays live and is
-        awaited by the next attempt, never re-run. A chunk that exhausts
-        :attr:`max_retries` degrades the executor from the thread pool to
-        in-process; once in-process, the supervisor raises
-        :class:`~repro.core.faults.RetriesExhausted`. Deterministic task
-        exceptions propagate immediately, unretried.
+        When a task raises, the queued ranges are cancelled and the
+        running ones waited for before the error propagates. A pool thread
+        cannot be stopped, so this is what keeps a chunk from writing a
+        shard into a spill run that its sink is about to abort.
         """
         ranges = self._ranges()
         if not ranges:
@@ -403,144 +332,40 @@ class ParallelMetaBlockingExecutor:
         started = time.perf_counter()
         dispatch_before = self.timings["dispatch"]
         pending = [index for index in range(len(ranges)) if index not in skip]
-        results: dict[int, object] = {}
-        attempts = {index: 0 for index in pending}
-        # Pool futures of pending chunks, carried across attempts.
-        futures: "dict[int, Future]" = {}
+        results: list = [None] * len(ranges)
         try:
-            while pending:
-                if self.backend == "threads":
-                    failure = self._threads_attempt(
-                        name, task, ranges, pending, attempts, results, futures
-                    )
-                else:
-                    failure = self._in_process_attempt(
-                        name, task, ranges, pending, attempts, results
-                    )
-                if failure is None:
-                    continue  # every pending chunk completed
-                index, error = failure
-                self.stats["chunk_timeouts"] += 1
-                self.stats["retries"] += 1
-                attempts[index] += 1
-                if attempts[index] > self.max_retries:
-                    if not self._degrade(name, error):
-                        raise RetriesExhausted(
-                            f"chunk {index} of task {name!r} still failing "
-                            f"after {self.max_retries} retries and the "
-                            "in-process fallback"
-                        ) from error
-                    # In-process re-runs every pending chunk itself.
-                    self._abandon(futures)
-                    continue  # no sleep before the in-process attempt
-                delay = self.backoff * (2 ** (attempts[index] - 1))
-                if delay > 0:
-                    time.sleep(delay)
+            if self.backend == "threads":
+                pool = self._ensure_thread_pool()
+                with self._timed("dispatch"):
+                    futures = [
+                        pool.submit(
+                            self._thread_dispatch,
+                            name,
+                            task,
+                            ranges[index],
+                            index,
+                        )
+                        for index in pending
+                    ]
+                try:
+                    for index, future in zip(pending, futures):
+                        results[index] = future.result()
+                finally:
+                    # A no-op once every chunk has finished.
+                    for future in futures:
+                        future.cancel()
+                    wait(futures)
+            else:
+                for index in pending:
+                    fire_chunk_fault(name, index)
+                    results[index] = task(self.weighting, ranges[index])
         finally:
-            self._abandon(futures)
             # Submission overhead was credited to "dispatch" as it
             # happened; the rest of the map's wall-clock is the phase work.
             elapsed = time.perf_counter() - started
             dispatched = self.timings["dispatch"] - dispatch_before
             self.timings[bucket] += max(0.0, elapsed - dispatched)
-        return [results.get(index) for index in range(len(ranges))]
-
-    def _threads_attempt(
-        self,
-        name: str,
-        task: ChunkTask,
-        ranges: Sequence[Range],
-        pending: "list[int]",
-        attempts: "dict[int, int]",
-        results: "dict[int, object]",
-        futures: "dict[int, Future]",
-    ) -> "tuple[int, Exception] | None":
-        """One pass of the thread pool over the pending chunks.
-
-        Submits each pending chunk that has no live future, then waits on
-        the futures in chunk order; completed chunks move from ``pending``
-        into ``results``. Returns ``None`` when everything finished, else
-        ``(chunk_index, ChunkTimeout)`` for the first chunk that overran
-        :attr:`chunk_timeout` — its future is abandoned, the others stay
-        in ``futures`` for the next attempt.
-        """
-        pool = self._ensure_thread_pool()
-        submit_started = time.perf_counter()
-        for index in pending:
-            if index not in futures:
-                futures[index] = pool.submit(
-                    self._thread_dispatch,
-                    (name, task, ranges[index], index, attempts[index]),
-                )
-        self.timings["dispatch"] += time.perf_counter() - submit_started
-        for index in list(pending):
-            try:
-                results[index] = futures[index].result(
-                    timeout=self.chunk_timeout
-                )
-            except FuturesTimeout:
-                self._abandon({index: futures.pop(index)})
-                return index, ChunkTimeout(
-                    f"chunk {index} exceeded the "
-                    f"{self.chunk_timeout:g}s chunk timeout"
-                )
-            del futures[index]
-            pending.remove(index)
-        return None
-
-    def _in_process_attempt(
-        self,
-        name: str,
-        task: ChunkTask,
-        ranges: Sequence[Range],
-        pending: "list[int]",
-        attempts: "dict[int, int]",
-        results: "dict[int, object]",
-    ) -> "tuple[int, Exception] | None":
-        """Run the pending chunks serially in the owner, in chunk order."""
-        for index in list(pending):
-            try:
-                fire_chunk_fault(name, index, attempts[index], in_worker=False)
-                results[index] = task(self.weighting, ranges[index])
-            except RETRYABLE_FAILURES as error:
-                return index, error
-            pending.remove(index)
-        return None
-
-    def _abandon(self, futures: "dict[int, Future]") -> None:
-        """Stop waiting on ``futures`` (and forget them).
-
-        Queued chunks are cancelled. A running chunk cannot be stopped, so
-        it finishes in the background and the shard it writes, if any, is
-        deleted as soon as it completes — no other copy of the chunk can
-        adopt it. :meth:`close` waits for those threads.
-        """
-        spill_dir = self._spill_dir
-        for future in futures.values():
-            future.cancel()
-            future.add_done_callback(
-                lambda done: _discard_shard(done, spill_dir)
-            )
-        futures.clear()
-
-    def _degrade(self, name: str, error: Exception) -> bool:
-        """Fall back from the thread pool to in-process after a chunk's
-        retry budget; returns False when already in-process.
-
-        Attempt counters are kept, but the in-process path always gets at
-        least one attempt.
-        """
-        if self.backend != "threads":
-            return False
-        warnings.warn(
-            f"the 'threads' backend kept failing on {name!r} ({error}); "
-            "degrading to 'in-process'",
-            RuntimeWarning,
-            stacklevel=5,
-        )
-        self.stats["degraded"].append("in-process")
-        self.backend = "in-process"
-        return True
+        return results
 
     @contextmanager
     def _timed(self, bucket: str):
@@ -616,13 +441,14 @@ class ParallelMetaBlockingExecutor:
         self._prepare_weights()
         ranges = self._ranges()
         completed: dict[int, dict] = {}
+        spill_dir: str | None = None
         if isinstance(sink, SpillSink):
             completed = sink.begin_chunks(
                 self._phase_signature(name, len(ranges))
             )
             if completed:
                 self.stats["resumed_chunks"] += len(completed)
-        spill_dir = self._spill_dir
+            spill_dir = str(sink.directory)
 
         def chunk_pairs(weighting: EdgeWeighting, bounds: Range) -> ChunkPairs:
             sources: list[np.ndarray] = []
@@ -696,12 +522,7 @@ class ParallelMetaBlockingExecutor:
             )
         self._algorithm_name = type(algorithm).__name__
         self.timings = _new_timings()
-        if isinstance(sink, SpillSink):
-            self._spill_dir = str(sink.directory)
-        try:
-            return PruningRun.execute(algorithm, self.weighting, sink, self)
-        finally:
-            self._spill_dir = None
+        return PruningRun.execute(algorithm, self.weighting, sink, self)
 
     def _prepare_weights(self) -> None:
         """Make the backend scan-ready: parallel degree pass for EJS first

@@ -106,13 +106,12 @@ class MetaBlockingResult:
     #: Workers that actually ran the pruning stage (1 == serial).
     effective_workers: int = 1
     #: ``"serial"``, ``"in-process"`` (chunked, no pool) or ``"threads"``
-    #: (GIL-releasing thread pool) — the executor's final backend.
+    #: (GIL-releasing thread pool) — the executor's backend.
     parallel_backend: str = "serial"
     #: The resolved execution configuration this run used.
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
-    #: Supervision counters from the parallel executor: ``retries``,
-    #: ``chunk_timeouts``, ``resumed_chunks`` and the ``degraded`` backend
-    #: trail. Empty for serial runs.
+    #: ``resumed_chunks``: the chunks a resumed spill run skipped, from the
+    #: parallel executor. Empty for serial runs.
     fault_stats: dict = field(default_factory=dict)
     #: Per-phase wall-clock seconds from the parallel executor —
     #: ``dispatch`` (submitting chunks to the pool), ``weight`` (chunk
@@ -284,24 +283,16 @@ def meta_block(
         weighting = backend_class(graph_input, scheme)
         if workers > 1:
             executor = ParallelMetaBlockingExecutor(
-                weighting,
-                workers=workers,
-                chunks=execution.chunks,
-                max_retries=execution.max_retries,
-                chunk_timeout=execution.chunk_timeout,
-                backoff=execution.backoff,
+                weighting, workers=workers, chunks=execution.chunks
             )
             try:
                 comparisons = executor.prune(pruning, sink=sink)
                 effective_backend = executor.backend
-                fault_stats = {
-                    **executor.stats,
-                    "degraded": list(executor.stats["degraded"]),
-                }
+                fault_stats = dict(executor.stats)
                 phase_timings = dict(executor.timings)
             finally:
-                # Joins the pool threads (abandoned chunks included) on
-                # success, failure and KeyboardInterrupt alike.
+                # Joins the pool threads on success, failure and
+                # KeyboardInterrupt alike.
                 executor.close()
         else:
             comparisons = run_pruning(pruning, weighting, sink)

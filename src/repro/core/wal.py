@@ -70,6 +70,7 @@ from typing import IO, Any, Iterable
 
 from repro.core.faults import InjectedWalTear, fire_wal_fault
 from repro.datamodel.profiles import Attribute, EntityProfile
+from repro.utils.timer import percentile
 
 #: Supported fsync policies, laxest-to-strictest cost order.
 FSYNC_POLICIES = ("always", "batch", "off")
@@ -418,16 +419,10 @@ class WriteAheadLog:
 def _latency_summary(samples: "deque[float]") -> dict:
     if not samples:
         return {"p50": 0.0, "p99": 0.0}
-    ordered = sorted(samples)
     return {
-        "p50": round(_percentile(ordered, 0.50) * 1000, 3),
-        "p99": round(_percentile(ordered, 0.99) * 1000, 3),
+        "p50": round(percentile(samples, 50) * 1000, 3),
+        "p99": round(percentile(samples, 99) * 1000, 3),
     }
-
-
-def _percentile(ordered: "list[float]", fraction: float) -> float:
-    position = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[position]
 
 
 # -- resolver manifest --------------------------------------------------------

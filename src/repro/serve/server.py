@@ -90,6 +90,7 @@ from repro.serve.protocol import (
     profile_from_wire,
     wire_integer,
 )
+from repro.utils.timer import percentile
 
 #: Default coalescing-buffer flush deadline (seconds of queue idleness).
 DEFAULT_FLUSH_INTERVAL = 0.02
@@ -99,13 +100,6 @@ DEFAULT_QUEUE_LIMIT = 256
 
 #: Per-verb latency samples kept for the percentile stats (ring buffer).
 LATENCY_WINDOW = 8192
-
-
-def _percentile(samples: "list[float]", q: float) -> float:
-    """The ``q``-th percentile of ``samples`` (nearest-rank, q in [0, 100])."""
-    ordered = sorted(samples)
-    rank = max(1, int(round(q / 100.0 * len(ordered) + 0.5)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 class ResolverServer:
@@ -554,7 +548,7 @@ class ResolverServer:
         resolver = self.resolver
 
         def work():
-            fire_chunk_fault("serve:upsert", ordinal, 0, in_worker=True)
+            fire_chunk_fault("serve:upsert", ordinal)
             profile = profile_from_wire(request.get("profile"))
             source = wire_integer(request.get("source", 0), "source")
             entity_id = len(resolver) + resolver.pending
@@ -606,7 +600,7 @@ class ResolverServer:
 
         def guarded(body):
             def run():
-                fire_chunk_fault(f"serve:{verb}", ordinal, 0, in_worker=True)
+                fire_chunk_fault(f"serve:{verb}", ordinal)
                 return body()
 
             return run
@@ -773,8 +767,8 @@ class ResolverServer:
         latency_ms = {
             verb: {
                 "count": len(samples),
-                "p50": round(_percentile(list(samples), 50) * 1e3, 3),
-                "p99": round(_percentile(list(samples), 99) * 1e3, 3),
+                "p50": round(percentile(samples, 50) * 1e3, 3),
+                "p99": round(percentile(samples, 99) * 1e3, 3),
             }
             for verb, samples in self._latencies.items()
             if samples

@@ -2,8 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import time
+from collections.abc import Iterable
 from types import TracebackType
+
+
+def percentile(samples: Iterable[float], q: float) -> float:
+    """The nearest-rank ``q``-th percentile of ``samples`` (``q`` in
+    ``(0, 100]``): the ⌈q·n/100⌉-th smallest of the ``n`` samples.
+
+    ``samples`` must not be empty.
+    """
+    ordered = sorted(samples)
+    return ordered[max(1, math.ceil(q * len(ordered) / 100)) - 1]
 
 
 class Timer:

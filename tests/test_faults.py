@@ -1,15 +1,12 @@
-"""Fault tolerance: supervision, retries, degradation, checkpoint-resume.
+"""Fault tolerance: chunk errors, checkpoint-resume, stale-run sweeps.
 
 The injection harness (:mod:`repro.core.faults`) drives every scenario
-deterministically: faults are keyed on the chunk's *attempt number*, so a
-``delay`` fault fires on the first attempt and the retry succeeds without
-any shared mutable state. On the thread pool a ``delay`` really stalls the
-chunk's thread, so the owner's timeout path runs for real; keep the delays
-short, because a timed-out thread cannot be stopped and ``close()`` waits
-for it. The resume scenarios run the interrupted half in a real subprocess
-that hard-exits (``os._exit``) mid-adoption — the same shape as a SIGKILL
-or OOM kill — and assert the resumed run's output is bit-identical to an
-uninterrupted serial run.
+deterministically: faults are keyed on the task name and the chunk index.
+A ``delay`` really stalls the chunk's thread, and a running chunk cannot
+be stopped, so keep the delays short. The resume scenarios run the
+interrupted half in a real subprocess that hard-exits (``os._exit``)
+mid-adoption — the same shape as a SIGKILL or OOM kill — and assert the
+resumed run's output is bit-identical to an uninterrupted serial run.
 """
 
 from __future__ import annotations
@@ -17,6 +14,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -26,13 +24,10 @@ from repro.core import BlockFiltering, ExecutionConfig, meta_block, resume_run
 from repro.core.edge_weighting import OptimizedEdgeWeighting
 from repro.core.faults import (
     FAULTS_ENV,
-    RETRYABLE_FAILURES,
-    ChunkTimeout,
     Fault,
     FaultPlan,
     FaultToleranceError,
     InjectedFault,
-    RetriesExhausted,
     SpillCorrupted,
     active_plan,
     clear_faults,
@@ -40,7 +35,7 @@ from repro.core.faults import (
     install_faults,
     truncate_shard,
 )
-from repro.core.parallel import PARALLEL_BACKENDS, ParallelMetaBlockingExecutor
+from repro.core.parallel import ParallelMetaBlockingExecutor
 from repro.core.pruning import CardinalityEdgePruning, WeightedNodePruning
 from repro.core.weights import get_scheme
 from repro.datamodel.sinks import (
@@ -61,49 +56,22 @@ def _no_fault_leak():
 
 
 def _fault_config(**overrides) -> ExecutionConfig:
-    settings = {"parallel": 2, "chunks": 4, "backoff": 0.01}
+    settings = {"parallel": 2, "chunks": 4}
     settings.update(overrides)
     return ExecutionConfig(**settings)
 
 
-def _supervised_wnp(blocks, backend: str, **settings):
-    """WNP through the supervised executor on ``backend``.
-
-    Two workers resolve to the thread pool, one to the in-process path.
-    The input is filtered like ``meta_block``'s default (r=0.8), so the
-    pairs compare equal to a serial ``meta_block`` run. Returns
-    ``(pairs, stats)``.
-    """
-    weighting = OptimizedEdgeWeighting(BlockFiltering(0.8).process(blocks), "JS")
-    workers = 2 if backend == "threads" else 1
-    with ParallelMetaBlockingExecutor(
-        weighting, workers=workers, chunks=4, backoff=0.01, **settings
-    ) as executor:
-        assert executor.backend == backend
-        pairs = list(executor.prune(WeightedNodePruning()).pairs)
-    return pairs, executor.stats
-
-
-def _assert_no_orphan_shards(result) -> None:
-    """The run directory holds exactly the shards its manifest adopted."""
-    manifest = json.loads(result.spill_manifest.read_text())
-    adopted = {shard["file"] for shard in manifest["shards"]}
-    on_disk = {path.name for path in result.spill_manifest.parent.glob("*.npy")}
-    assert on_disk == adopted
-
-
-@pytest.fixture(scope="module")
-def serial_wnp(small_clean_blocks):
-    result = meta_block(small_clean_blocks, "JS", "WNP")
-    return list(result.comparisons.pairs)
+#: Chunk 0 fails at once while chunk 1 is still running.
+FAIL_BESIDE_A_RUNNING_CHUNK = (
+    Fault(op="error", chunk=0, task="wnp"),
+    Fault(op="delay", seconds=0.5, chunk=1, task="wnp"),
+)
 
 
 class TestTaxonomy:
     def test_hierarchy(self):
-        for exc in (ChunkTimeout, SpillCorrupted, RetriesExhausted):
-            assert issubclass(exc, FaultToleranceError)
-            assert issubclass(exc, RuntimeError)
-        assert RETRYABLE_FAILURES == (ChunkTimeout,)
+        assert issubclass(SpillCorrupted, FaultToleranceError)
+        assert issubclass(FaultToleranceError, RuntimeError)
         assert not issubclass(InjectedFault, FaultToleranceError)
 
     def test_fault_validates_site_and_op(self):
@@ -113,12 +81,13 @@ class TestTaxonomy:
             Fault(op="nope")
 
     def test_matches_chunk_window(self):
-        fault = Fault(op="delay", chunk=2, task="wnp", attempts=2)
-        assert fault.matches_chunk("wnp:select", 2, 0)
-        assert fault.matches_chunk("rcwnp:retain", 2, 1)
-        assert not fault.matches_chunk("wnp:select", 2, 2)
-        assert not fault.matches_chunk("wnp:select", 3, 0)
-        assert not fault.matches_chunk("recnp:retain", 2, 0)
+        fault = Fault(op="delay", chunk=2, task="wnp")
+        assert fault.matches_chunk("wnp:select", 2)
+        assert fault.matches_chunk("rcwnp:retain", 2)
+        assert not fault.matches_chunk("wnp:select", 3)
+        assert not fault.matches_chunk("recnp:retain", 2)
+        assert Fault(op="error").matches_chunk("cep:reduce", 7)
+        assert not Fault(site="adopt").matches_chunk("wnp:select", 2)
 
 
 class TestFaultPlan:
@@ -157,22 +126,6 @@ class TestFaultPlan:
 
 
 class TestSupervisedRetries:
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_chunk_timeout_is_retried(
-        self, small_clean_blocks, serial_wnp, backend
-    ):
-        # The thread pool really stalls chunk 0 past the deadline; the
-        # in-process backend simulates the timeout by raising it directly.
-        with injected_faults(
-            Fault(op="delay", seconds=0.5, chunk=0, task="wnp")
-        ):
-            pairs, stats = _supervised_wnp(
-                small_clean_blocks, backend, chunk_timeout=0.2
-            )
-        assert pairs == serial_wnp
-        assert stats["chunk_timeouts"] >= 1
-        assert stats["retries"] >= 1
-
     def test_deterministic_error_is_not_retried(self, small_clean_blocks):
         with injected_faults(Fault(op="error", chunk=0, task="wnp")):
             with pytest.raises(InjectedFault):
@@ -183,102 +136,50 @@ class TestSupervisedRetries:
                     execution=_fault_config(),
                 )
 
-    def test_retries_exhausted_in_process(self, small_clean_blocks):
-        # in-process is the bottom of the degradation ladder: a chunk that
-        # keeps failing there surfaces as RetriesExhausted.
-        with injected_faults(
-            Fault(op="delay", chunk=0, task="wnp", attempts=99)
-        ):
-            with pytest.raises(RetriesExhausted):
-                _supervised_wnp(small_clean_blocks, "in-process", max_retries=1)
-
-    def test_degrades_to_in_process(self, small_clean_blocks, serial_wnp):
-        # attempts=2 with max_retries=1: both thread-pool attempts time
-        # out, the executor degrades, and the in-process attempt (attempt
-        # index 2) is past the fault's window and succeeds.
-        with injected_faults(
-            Fault(op="delay", seconds=0.5, chunk=0, task="wnp", attempts=2)
-        ):
-            with pytest.warns(RuntimeWarning, match="degrading"):
-                result = meta_block(
-                    small_clean_blocks,
-                    "JS",
-                    "WNP",
-                    execution=_fault_config(max_retries=1, chunk_timeout=0.2),
-                )
-        assert list(result.comparisons.pairs) == serial_wnp
-        assert result.fault_stats["degraded"] == ["in-process"]
-        assert result.parallel_backend == "in-process"
-
     def test_clean_parallel_run_reports_zero_counters(self, small_clean_blocks):
         result = meta_block(
             small_clean_blocks, "JS", "WNP", execution=_fault_config()
         )
         assert result.parallel_backend == "threads"
-        assert result.fault_stats == {
-            "retries": 0,
-            "chunk_timeouts": 0,
-            "resumed_chunks": 0,
-            "degraded": [],
-        }
+        assert result.fault_stats == {"resumed_chunks": 0}
 
     def test_serial_run_has_empty_fault_stats(self, small_clean_blocks):
         assert meta_block(small_clean_blocks, "JS", "WNP").fault_stats == {}
 
 
-class TestAbandonedChunks:
-    """A timed-out chunk's thread cannot be stopped, and the chunks still
-    in flight when it timed out keep running: none of them may leave a
-    shard in a spilled run that the manifest does not list."""
+class TestChunkErrors:
+    """A running chunk cannot be stopped, so an error reaches the caller
+    only once the chunks already running have finished: no pool thread
+    may still write into a run that its sink has aborted."""
 
-    def _spilled_wnp(self, blocks, spill_dir, *faults):
-        with injected_faults(*faults):
-            return meta_block(
-                blocks,
-                "JS",
-                "WNP",
-                execution=ExecutionConfig(
-                    parallel=2,
-                    chunks=4,
-                    spill_dir=spill_dir,
-                    memory_budget=4096,
-                    chunk_timeout=0.3,
-                    backoff=0.0,
-                ),
-            )
-
-    def test_in_flight_chunks_leave_no_orphan_shard(
-        self, small_clean_blocks, serial_wnp, tmp_path
-    ):
-        # Chunk 0 times out at 0.3 s while chunk 1 is still running. Its
-        # abandoned copy fails after the sleep, so any orphan here would
-        # come from chunk 1 being re-run beside its own first copy.
-        result = self._spilled_wnp(
-            small_clean_blocks,
-            tmp_path,
-            Fault(op="delay", seconds=1.0, chunk=0, task="wnp"),
-            Fault(op="error", chunk=0, task="wnp"),
-            Fault(op="delay", seconds=0.5, chunk=1, task="wnp"),
+    def test_error_waits_for_running_chunks(self, small_clean_blocks):
+        weighting = OptimizedEdgeWeighting(
+            BlockFiltering(0.8).process(small_clean_blocks), "JS"
         )
-        assert list(result.comparisons) == serial_wnp
-        assert result.fault_stats["chunk_timeouts"] >= 1
-        _assert_no_orphan_shards(result)
-        result.comparisons.release()
+        with ParallelMetaBlockingExecutor(
+            weighting, workers=2, chunks=4
+        ) as executor:
+            with injected_faults(*FAIL_BESIDE_A_RUNNING_CHUNK):
+                started = time.perf_counter()
+                with pytest.raises(InjectedFault):
+                    executor.prune(WeightedNodePruning())
+                elapsed = time.perf_counter() - started
+        assert elapsed >= 0.5
 
-    def test_timed_out_chunk_leaves_no_orphan_shard(
-        self, small_clean_blocks, serial_wnp, tmp_path
+    def test_failed_spill_run_leaves_no_run_directory(
+        self, small_clean_blocks, tmp_path
     ):
-        # The abandoned copy of chunk 0 finishes after its retry was
-        # adopted and writes a shard of its own.
-        result = self._spilled_wnp(
-            small_clean_blocks,
-            tmp_path,
-            Fault(op="delay", seconds=1.0, chunk=0, task="wnp"),
-        )
-        assert list(result.comparisons) == serial_wnp
-        assert result.fault_stats["chunk_timeouts"] >= 1
-        _assert_no_orphan_shards(result)
-        result.comparisons.release()
+        with injected_faults(*FAIL_BESIDE_A_RUNNING_CHUNK):
+            with pytest.raises(InjectedFault):
+                meta_block(
+                    small_clean_blocks,
+                    "JS",
+                    "WNP",
+                    execution=_fault_config(
+                        spill_dir=tmp_path, memory_budget=4096
+                    ),
+                )
+        assert list(tmp_path.iterdir()) == []
 
 
 # -- checkpoint / resume ------------------------------------------------------
@@ -392,13 +293,19 @@ class TestCheckpointResume:
         resumed.comparisons.release()
 
     def test_stored_parallel_backend_is_ignored(self, tmp_path, serial_pairs):
-        # Checkpoints written while a pool backend could still be chosen
-        # carry that choice in their stored execution settings; resuming
-        # one runs on the thread pool, bit-identical to serial.
+        # Checkpoints written while a pool backend could still be chosen,
+        # or while chunks were supervised, carry those settings in their
+        # stored execution config; resuming one runs on the thread pool,
+        # bit-identical to serial.
         run_dir = _run_interrupted(tmp_path / "spill")
         checkpoint_path = run_dir / CHECKPOINT_NAME
         state = json.loads(checkpoint_path.read_text())
-        state["config"]["execution"]["parallel_backend"] = "shm-spawn"
+        state["config"]["execution"].update(
+            parallel_backend="shm-spawn",
+            max_retries=2,
+            chunk_timeout=30.0,
+            backoff=0.1,
+        )
         checkpoint_path.write_text(json.dumps(state))
         resumed = resume_run(_resume_blocks(), run_dir)
         assert resumed.parallel_backend == "threads"

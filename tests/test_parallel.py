@@ -154,14 +154,12 @@ class TestCachedRetentionUnderContention:
                 OptimizedEdgeWeighting(blocks, "JS"),
                 workers=8,
                 chunks=32,
-                chunk_timeout=60,
             ) as executor:
                 for name in names:
                     pruned = executor.prune(PRUNING_ALGORITHMS[name]())
                     assert pruned.pairs == serial[name], name
         finally:
             sys.setswitchinterval(interval)
-        assert executor.stats["chunk_timeouts"] == 0
 
 
 class TestBackendResolution:
@@ -170,7 +168,6 @@ class TestBackendResolution:
             OptimizedEdgeWeighting(example_blocks, "JS"), workers=1
         )
         assert executor.backend == "in-process"
-        assert executor.pool_backend == "in-process"
 
     def test_auto_selects_threads(self, example_blocks):
         # Two workers on a multi-node graph always resolve to threads, and
@@ -343,8 +340,9 @@ class TestPipelineIntegration:
         assert restored.execution.chunk_size == 1024
 
     def test_workflow_config_with_parallel_backend_still_loads(self):
-        # Configs saved while the pool backend was a setting carry the
-        # key; loading one ignores it, since the worker count decides.
+        # Configs saved while the pool backend or chunk supervision were
+        # settings carry those keys; loading one ignores them, since the
+        # worker count decides and chunks are never retried.
         from repro.core.pipeline import MetaBlockingWorkflow
 
         restored = MetaBlockingWorkflow.from_config(
@@ -353,7 +351,13 @@ class TestPipelineIntegration:
                 "algorithm": "RcWNP",
                 "parallel": 2,
                 "parallel_backend": "shm-spawn",
+                "max_retries": 2,
+                "chunk_timeout": 30.0,
+                "backoff": 0.1,
             }
         )
         assert restored.execution.parallel == 2
-        assert not hasattr(restored.execution, "parallel_backend")
+        for removed in (
+            "parallel_backend", "max_retries", "chunk_timeout", "backoff"
+        ):
+            assert not hasattr(restored.execution, removed)

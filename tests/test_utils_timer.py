@@ -1,10 +1,11 @@
-"""Unit tests for the wall-clock timer."""
+"""Unit tests for the wall-clock timer and the percentile helper."""
 
+import random
 import time
 
 import pytest
 
-from repro.utils.timer import Timer
+from repro.utils.timer import Timer, percentile
 
 
 class TestTimer:
@@ -40,3 +41,24 @@ class TestTimer:
             time.sleep(0.005)
         assert timer.elapsed >= 0.005
         assert timer.elapsed != first or timer.elapsed > 0
+
+
+@pytest.mark.parametrize(
+    "n, p50, p99",
+    [
+        (1, 1, 1),
+        (2, 1, 2),
+        (4, 2, 4),
+        (6, 3, 6),
+        (7, 4, 7),
+        (100, 50, 99),
+        (200, 100, 198),
+    ],
+)
+def test_percentile_is_the_nearest_rank(n, p50, p99):
+    # The q-th percentile of 1..n is its ceil(q * n / 100)-th smallest
+    # value, whatever order the samples arrive in.
+    samples = list(range(1, n + 1))
+    random.Random(n).shuffle(samples)
+    assert percentile(samples, 50) == p50
+    assert percentile(samples, 99) == p99
