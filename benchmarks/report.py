@@ -252,10 +252,15 @@ TABLE_NOTES = {
         "leg builds its Entity Index outside the timer. Each round runs "
         "every leg once, and `seconds` is a leg's median over five rounds, "
         "`q1-q3` its spread, `speedup` the ratio of medians and `phases` "
-        "the per-phase medians. On a 2-core host the serial leg's spread "
-        "(0.27-0.31 s) overlaps every other leg's except the pool at 8 "
-        "workers, which is slower (0.33 s), so on two cores threads buy "
-        "nothing. The earlier one-round table of this bench had the 8-thread "
+        "the per-phase medians. On a 2-core host, three full-scale runs of "
+        "the recorded commit read the serial leg at 0.143-0.146 s and the "
+        "pool at 2 workers at 0.121-0.123 s (1.16-1.21x, its q1-q3 below "
+        "serial's in every run); at 4 workers the pool's spread reaches "
+        "serial's, at 8 workers it is slower (0.157-0.188 s), and the "
+        "in-process legs read 0.147-0.169 s. The table recorded before the "
+        "node-chunk kernels got faster read 0.27-0.31 s for the serial leg, "
+        "overlapping every leg but the 8-worker pool (0.33 s). The earlier "
+        "one-round table of this bench had the 8-thread "
         "leg beating serial (0.228 s against 0.261 s): noise. On 8+ usable "
         "cores the bench asserts >= 3x for the pool at 8 workers, read off "
         "the medians. The fork and "
